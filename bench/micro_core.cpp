@@ -6,21 +6,15 @@
 // Self-contained harness (no google-benchmark): each benchmark reports
 // steady-state operations/sec, and --json emits BENCH_micro.json in the
 // tcn-bench-1 layout so CI can track the perf trajectory next to
-// BENCH_suite.json. The "legacy_*" entries re-measure the pre-refactor
-// memory model (std::function event heap + per-packet new/delete + the
-// shared_ptr copyable-owner wrapper) inside the same binary, so the
-// inline-callback/pool speedup is computed from two numbers recorded in the
-// same run on the same machine -- the acceptance gate for the
-// zero-allocation refactor is new/legacy >= 1.5x on the event path.
+// BENCH_suite.json. --gate checks the two in-binary ratios below (calendar
+// queue vs binary heap, time-series sampler on vs off).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,9 +27,9 @@
 #include "net/packet.hpp"
 #include "net/port.hpp"
 #include "net/queue.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "runner/json.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/wfq.hpp"
 #include "sim/event_queue.hpp"
@@ -101,100 +95,10 @@ BenchResult measure(std::string label, std::uint64_t ops_per_call, Body body,
 // ------------------------------------------------------------ event path ----
 
 /// 32-byte event payload: the realistic hot-path capture (a pooled
-/// PacketPtr plus this-pointer and queue index comes to 32 bytes). Big
-/// enough to defeat libstdc++'s 16B std::function SBO, i.e. the capture
-/// size at which the pre-refactor event path started heap-allocating.
+/// PacketPtr plus this-pointer and queue index comes to 32 bytes), which
+/// must still fit the simulator's inline callback storage.
 struct Payload {
   std::uint64_t a = 0, b = 0, c = 0, d = 0;
-};
-
-/// Faithful replica of the pre-refactor event loop: identical hand-rolled
-/// binary heap, identical run-loop bookkeeping (lazy-cancel set probe,
-/// event-storm watchdog, executed counter -- all of which the real
-/// Simulator still performs), but entries hold std::function<void()> --
-/// one heap allocation per scheduled event for any capture beyond 16B,
-/// plus the copyable-capture requirement that forced packets through a
-/// shared_ptr<PacketPtr> owner. The two loops therefore differ *only* in
-/// the event memory model, which is what the speedup gate measures. Kept
-/// here (and only here) as the recorded baseline.
-class LegacyEventLoop {
- public:
-  using Callback = std::function<void()>;
-
-  void schedule(sim::Time at, Callback cb) {
-    if (at < now_) std::abort();
-    heap_.push_back(Entry{at, next_id_++, std::move(cb)});
-    std::size_t i = heap_.size() - 1;
-    Entry e = std::move(heap_[i]);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    }
-    heap_[i] = std::move(e);
-  }
-
-  std::uint64_t run() {
-    std::uint64_t count = 0;
-    std::uint64_t storm = 0;
-    while (!heap_.empty() && !stopped_) {
-      Entry top = std::move(heap_.front());
-      if (heap_.size() > 1) {
-        heap_.front() = std::move(heap_.back());
-        heap_.pop_back();
-        sift_down(0);
-      } else {
-        heap_.pop_back();
-      }
-      if (!cancelled_.empty() && cancelled_.erase(top.id) > 0) continue;
-      if (top.at == now_) {
-        if (++storm > storm_limit_) std::abort();
-      } else {
-        storm = 1;
-      }
-      now_ = top.at;
-      ++count;
-      ++executed_;
-      top.cb();
-    }
-    return count;
-  }
-
-  [[nodiscard]] sim::Time now() const noexcept { return now_; }
-
- private:
-  struct Entry {
-    sim::Time at;
-    std::uint64_t id;
-    Callback cb;
-  };
-
-  static bool before(const Entry& a, const Entry& b) noexcept {
-    return a.at < b.at || (a.at == b.at && a.id < b.id);
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    Entry e = std::move(heap_[i]);
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], e)) break;
-      heap_[i] = std::move(heap_[child]);
-      i = child;
-    }
-    heap_[i] = std::move(e);
-  }
-
-  sim::Time now_ = 0;
-  bool stopped_ = false;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::uint64_t storm_limit_ = 10'000'000;
-  std::vector<Entry> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
 };
 
 constexpr int kEventBatch = 1024;
@@ -231,13 +135,9 @@ BenchResult bench_event_queue(std::string label, double min_secs) {
       min_secs);
 }
 
-// Both event benchmarks reuse one loop object across batches so they
-// measure the *steady state* -- after the warmup batch the simulator's
-// heap, slot pool and free list have all plateaued and every schedule/fire
-// is allocation-free, while the legacy loop keeps paying one heap
-// allocation per scheduled event (the 32B capture defeats std::function's
-// 16B SBO). That per-event malloc/free is precisely the cost the refactor
-// removes, so steady state is the honest comparison.
+// Reuses one simulator across batches so it measures the *steady state*:
+// after the warmup batch the pending set, slot pool and free list have all
+// plateaued and every schedule/fire is allocation-free.
 BenchResult bench_event_inline(double min_secs) {
   sim::Simulator s;
   std::uint64_t sink = 0;
@@ -254,23 +154,6 @@ BenchResult bench_event_inline(double min_secs) {
       },
       min_secs);
   return r;
-}
-
-BenchResult bench_event_legacy(double min_secs) {
-  LegacyEventLoop s;
-  std::uint64_t sink = 0;
-  return measure(
-      "legacy_event_schedule_fire", kEventBatch,
-      [&] {
-        for (int i = 0; i < kEventBatch; ++i) {
-          s.schedule(s.now() + (i * 7919) % 10'000,
-                     [&sink, p = Payload{1, 2, 3, static_cast<std::uint64_t>(
-                                                      i)}] { sink += p.d; });
-        }
-        s.run();
-        if (sink == 0) std::abort();
-      },
-      min_secs);
 }
 
 constexpr int kChainLen = 4096;
@@ -331,29 +214,6 @@ BenchResult bench_packet_pooled(double min_secs) {
   return r;
 }
 
-/// The pre-refactor packet path: one new/delete per packet (no pool scope
-/// installed), plus the shared_ptr<unique_ptr> copyable-owner wrapper that
-/// std::function callbacks forced on every scheduled hop.
-BenchResult bench_packet_legacy(double min_secs) {
-  net::PacketUidScope uids;
-  std::vector<std::shared_ptr<net::PacketPtr>> in_flight;
-  in_flight.reserve(kInFlight);
-  return measure(
-      "legacy_packet_churn_heap", kPacketBatch,
-      [&] {
-        for (int i = 0; i < kPacketBatch / kInFlight; ++i) {
-          for (int j = 0; j < kInFlight; ++j) {
-            auto p = net::make_packet();
-            p->size = 1500;
-            in_flight.push_back(
-                std::make_shared<net::PacketPtr>(std::move(p)));
-          }
-          in_flight.clear();
-        }
-      },
-      min_secs);
-}
-
 // -------------------------------------------------------- flow-slab churn ----
 
 constexpr int kFlowBatch = 256;
@@ -405,44 +265,6 @@ BenchResult bench_flow_slab(double min_secs) {
   r.pool_reused = slab.reuses();
   r.pool_recycled = slab.recycles();
   return r;
-}
-
-/// The closed-loop FlowManager memory model applied to the same churn: one
-/// heap-allocated entry per flow, fresh ephemeral ports every time, entry
-/// freed (not recycled) at completion. What open-loop runs would pay per
-/// flow without the slab.
-BenchResult bench_flow_heap(double min_secs) {
-  sim::Simulator s;
-  net::PacketUidScope uids;
-  net::PortConfig nic;
-  nic.rate_bps = 10'000'000'000ULL;
-  net::Host src(s, "h0", 1, nic);
-  net::Host dst(s, "h1", 2, nic);
-  transport::TcpConfig tcp;
-  struct Entry {
-    std::optional<transport::TcpSink> sink;
-    std::optional<transport::TcpSender> sender;
-  };
-  std::uint64_t flow_id = 0;
-  std::vector<std::unique_ptr<Entry>> in_flight;
-  in_flight.reserve(kFlowInFlight);
-  return measure(
-      "legacy_flow_heap_churn", kFlowBatch,
-      [&] {
-        for (int i = 0; i < kFlowBatch / kFlowInFlight; ++i) {
-          for (int j = 0; j < kFlowInFlight; ++j) {
-            auto e = std::make_unique<Entry>();
-            const std::uint16_t sport = src.allocate_port();
-            const std::uint16_t dport = dst.allocate_port();
-            e->sink.emplace(dst, dport, 0);
-            e->sender.emplace(src, dst.address(), sport, dport, ++flow_id,
-                              tcp, transport::constant_dscp(0), 0, nullptr);
-            in_flight.push_back(std::move(e));
-          }
-          in_flight.clear();
-        }
-      },
-      min_secs);
 }
 
 // ------------------------------------------------------------- port path ----
@@ -533,42 +355,6 @@ BenchResult bench_port_timeseries(std::string label, bool with_series,
       min_secs);
 }
 
-/// Same pipeline with a real scheduler/marker pair (DWRR + TCN -- the
-/// paper's headline combination) dispatched statically vs pinned to the
-/// virtual path via PortConfig::force_virtual_dispatch. Identical traffic,
-/// identical state evolution; the only difference is the call mechanism on
-/// the five per-packet scheduler/marker hooks.
-BenchResult bench_port_dispatch(std::string label, bool force_virtual,
-                                double min_secs) {
-  net::PacketUidScope uids;
-  net::PacketPool pool;
-  net::PacketPool::Scope scope(pool);
-
-  sim::Simulator s;
-  net::PortConfig cfg;
-  cfg.rate_bps = 10'000'000'000ULL;
-  cfg.num_queues = 2;
-  cfg.force_virtual_dispatch = force_virtual;
-  net::Port port(s, "bench.p1", cfg,
-                 std::make_unique<sched::DwrrScheduler>(
-                     std::vector<std::uint64_t>{1500, 1500}),
-                 std::make_unique<aqm::TcnMarker>(100 * sim::kMicrosecond));
-  SinkNode sink;
-  port.connect(&sink, 0);
-  return measure(
-      std::move(label), kPortBatch,
-      [&] {
-        for (int i = 0; i < kPortBatch; ++i) {
-          auto p = net::make_packet();
-          p->size = 1500;
-          p->ecn = net::Ecn::kEct0;
-          port.enqueue(std::move(p), i % 2);
-        }
-        s.run();
-      },
-      min_secs);
-}
-
 // ------------------------------------------------- AQM decision / scheds ----
 
 net::MarkContext make_ctx(sim::Time now) {
@@ -646,7 +432,7 @@ void write_json(const std::vector<BenchResult>& results, double wall_ms,
   std::uint64_t total_ops = 0;
   for (const auto& r : results) total_ops += r.ops;
 
-  runner::JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value("tcn-bench-1");
   w.key("name").value("micro");
@@ -723,16 +509,13 @@ int main(int argc, char** argv) {
   const auto t0 = Clock::now();
   std::vector<BenchResult> results;
   results.push_back(bench_event_inline(min_secs));
-  results.push_back(bench_event_legacy(min_secs));
   results.push_back(
       bench_event_queue<sim::CalendarQueue>("event_path_calendar", min_secs));
   results.push_back(
       bench_event_queue<sim::BinaryHeapQueue>("event_path_heap", min_secs));
   results.push_back(bench_timer_chain(min_secs));
   results.push_back(bench_packet_pooled(min_secs));
-  results.push_back(bench_packet_legacy(min_secs));
   results.push_back(bench_flow_slab(min_secs));
-  results.push_back(bench_flow_heap(min_secs));
   results.push_back(
       bench_port_pipeline("port_pipeline_obs_off", false, min_secs));
   results.push_back(
@@ -741,10 +524,6 @@ int main(int argc, char** argv) {
       bench_port_timeseries("port_pipeline_timeseries_off", false, min_secs));
   results.push_back(
       bench_port_timeseries("port_pipeline_timeseries_on", true, min_secs));
-  results.push_back(
-      bench_port_dispatch("port_pipeline_static", false, min_secs));
-  results.push_back(
-      bench_port_dispatch("port_pipeline_virtual", true, min_secs));
 
   {
     aqm::TcnMarker tcn(100 * sim::kMicrosecond);
@@ -800,24 +579,6 @@ int main(int argc, char** argv) {
       if (r.label == label) return &r;
     return nullptr;
   };
-  const auto* ev_new = find("event_schedule_fire");
-  const auto* ev_old = find("legacy_event_schedule_fire");
-  const auto* pk_new = find("packet_churn_pooled");
-  const auto* pk_old = find("legacy_packet_churn_heap");
-  if (ev_new && ev_old && ev_old->ops_per_sec() > 0) {
-    std::printf("event path speedup (inline vs legacy std::function): %.2fx\n",
-                ev_new->ops_per_sec() / ev_old->ops_per_sec());
-  }
-  if (pk_new && pk_old && pk_old->ops_per_sec() > 0) {
-    std::printf("packet path speedup (pooled vs legacy heap):          %.2fx\n",
-                pk_new->ops_per_sec() / pk_old->ops_per_sec());
-  }
-  const auto* fl_new = find("flow_slab_churn");
-  const auto* fl_old = find("legacy_flow_heap_churn");
-  if (fl_new && fl_old && fl_old->ops_per_sec() > 0) {
-    std::printf("flow path speedup (slab vs legacy heap):              %.2fx\n",
-                fl_new->ops_per_sec() / fl_old->ops_per_sec());
-  }
   const auto* port_off = find("port_pipeline_obs_off");
   const auto* port_on = find("port_pipeline_obs_on");
   if (port_off && port_on && port_off->ops_per_sec() > 0) {
@@ -843,21 +604,15 @@ int main(int argc, char** argv) {
     std::printf("event queue speedup (calendar vs binary heap):        %.2fx\n",
                 event_queue_ratio);
   }
-  const auto* disp_st = find("port_pipeline_static");
-  const auto* disp_vt = find("port_pipeline_virtual");
-  if (disp_st && disp_vt && disp_vt->ops_per_sec() > 0) {
-    std::printf("port path speedup (static vs virtual dispatch):       %.2fx\n",
-                disp_st->ops_per_sec() / disp_vt->ops_per_sec());
-  }
 
   if (!json_path.empty()) write_json(results, wall_ms, json_path);
 
   if (gate) {
     // CI acceptance: the calendar queue must beat the in-binary heap
     // baseline by >= 1.5x on the event path (same driver, same entries --
-    // pure container structure). Dispatch and pipeline ratios are reported
-    // above but not gated: they ride on whole-pipeline denominators where
-    // run-to-run noise on shared CI boxes exceeds the win being measured.
+    // pure container structure). The metrics ratio is reported above but
+    // not gated: it rides on a whole-pipeline denominator where run-to-run
+    // noise on shared CI boxes exceeds the effect being measured.
     constexpr double kEventQueueGate = 1.5;
     if (event_queue_ratio < kEventQueueGate) {
       std::fprintf(stderr,

@@ -22,10 +22,6 @@ namespace tcn::aqm {
 
 class CodelMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `target`: acceptable standing sojourn time; `interval`: sliding window
   /// (testbed tuning in the paper: 51.2us / 1024us; Internet: 5ms / 100ms).
   CodelMarker(sim::Time target, sim::Time interval,

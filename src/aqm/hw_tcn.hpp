@@ -23,10 +23,11 @@ namespace tcn::aqm {
 class WrappingClock {
  public:
   WrappingClock(std::uint32_t resolution_ns, std::uint32_t bits)
-      : resolution_(resolution_ns), bits_(bits), mask_((1u << bits) - 1u) {
+      : resolution_(resolution_ns), bits_(bits) {
     if (resolution_ns == 0 || bits == 0 || bits > 31) {
       throw std::invalid_argument("WrappingClock: bad parameters");
     }
+    mask_ = (1u << bits) - 1u;  // only after the check: a shift by 32 is UB
   }
 
   /// Truncated tick stamp of an absolute time.
@@ -57,15 +58,11 @@ class WrappingClock {
  private:
   std::uint32_t resolution_;
   std::uint32_t bits_;
-  std::uint32_t mask_;
+  std::uint32_t mask_ = 0;
 };
 
 class HwTcnMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `threshold` is T = RTT x lambda; it must fit in the clock horizon (the
   /// paper sizes the clock so a datacenter RTT always does).
   HwTcnMarker(sim::Time threshold, std::uint32_t resolution_ns = 4,

@@ -20,10 +20,6 @@ namespace tcn::aqm {
 
 class MqEcnMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `provider` must outlive the marker (it is the port's own round-robin
   /// scheduler). `rtt_lambda` is RTT x lambda, the time component of the
   /// standard threshold.

@@ -35,10 +35,6 @@ struct PieConfig {
 
 class PieMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   PieMarker(std::size_t num_queues, PieConfig cfg, std::uint64_t seed = 1);
 
   bool on_enqueue(const net::MarkContext& ctx, const net::Packet& p) override;

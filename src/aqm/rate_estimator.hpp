@@ -51,10 +51,6 @@ class DepartureRateEstimator {
 
 class IdealRedMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// Called whenever some queue's estimator produces a fresh sample -- used
   /// by the Fig. 2 harness to trace convergence.
   using SampleObserver = std::function<void(

@@ -23,10 +23,6 @@ enum class RedSide { kEnqueue, kDequeue };
 
 class RedEcnMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// Uniform threshold (bytes) for every queue.
   RedEcnMarker(std::uint64_t threshold_bytes, RedScope scope,
                RedSide side = RedSide::kEnqueue);

@@ -16,10 +16,6 @@ namespace tcn::aqm {
 
 class RedProbabilisticMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   RedProbabilisticMarker(std::uint64_t k_min_bytes, std::uint64_t k_max_bytes,
                          double p_max, std::uint64_t seed = 1);
 

@@ -21,10 +21,6 @@ namespace tcn::aqm {
 
 class TcnMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `threshold` is the sojourn-time marking threshold T = RTT x lambda.
   explicit TcnMarker(sim::Time threshold);
 
@@ -40,10 +36,6 @@ class TcnMarker final : public net::Marker {
 
 class TcnProbabilisticMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   TcnProbabilisticMarker(sim::Time t_min, sim::Time t_max, double p_max,
                          std::uint64_t seed = 1);
 

@@ -9,20 +9,20 @@
 // fold marker math straight into the port loop.
 //
 // The virtual interfaces remain the extension seam: the FIRST alternative
-// of each variant is the plain base pointer, and Scheduler::self_variant()
-// / Marker::self_variant() default to returning it. A test double or an
-// out-of-tree scheduler works unchanged -- it just rides the virtual path
-// (one extra indirect call, exactly the pre-refactor cost). In-tree types
-// opt in with a one-line override returning `this` at its concrete type.
-// PortConfig::force_virtual_dispatch pins the base alternative even for
-// in-tree types, which is how bench/micro_core measures the win.
+// of each variant is the plain base pointer. Port's constructor picks the
+// alternative whose class is exactly the object's dynamic type (by typeid;
+// every other alternative must be final) and falls back to the base
+// pointer otherwise. A decorator, a test double or an out-of-tree
+// scheduler works unchanged -- it just rides the virtual path (one extra
+// indirect call). Adding an in-tree type to the fast path means adding it
+// to the list below and its header to port.cpp; nothing else.
 //
-// This header deliberately uses only forward declarations, so net/ stays
-// the bottom layer at compile time: sched/ and aqm/ still include net/
-// headers, never the reverse. The one-per-program list below is the only
-// place that enumerates the zoo; port.cpp includes the concrete headers to
-// instantiate the visit (a closed-world upcall that lives in the .cpp, not
-// in any interface header).
+// This header deliberately uses only forward declarations and only
+// port.hpp includes it, so net/ stays the bottom layer at compile time:
+// sched/ and aqm/ still include net/ headers, never the reverse. The list
+// below is the only place that enumerates the zoo; port.cpp includes the
+// concrete headers to instantiate the visit (a closed-world upcall that
+// lives in the .cpp, not in any interface header).
 #pragma once
 
 #include <variant>
@@ -58,7 +58,7 @@ class Marker;
 class NullMarker;
 
 /// One alternative per concrete scheduler; Scheduler* (first) is the
-/// virtual-dispatch fallback for external subclasses and benchmarking.
+/// virtual-dispatch fallback for every other subclass.
 using SchedulerVariant = std::variant<Scheduler*,            //
                                       FifoScheduler*,        //
                                       sched::SpScheduler*,   //

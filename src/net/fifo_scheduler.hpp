@@ -8,10 +8,6 @@ namespace tcn::net {
 
 class FifoScheduler final : public Scheduler {
  public:
-  [[nodiscard]] SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   void on_enqueue(std::size_t, const Packet&, sim::Time) override {}
 
   std::size_t select(sim::Time) override {

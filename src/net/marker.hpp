@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "net/dispatch.hpp"
 #include "net/packet.hpp"
 #include "sim/time.hpp"
 
@@ -27,14 +26,6 @@ struct MarkContext {
 class Marker {
  public:
   virtual ~Marker() = default;
-
-  /// Static-dispatch registration (see net/dispatch.hpp): concrete in-tree
-  /// markers override this with a one-liner returning `this` at their final
-  /// type, letting Port devirtualize the mark decisions. The default keeps
-  /// external/test subclasses on the virtual path unchanged.
-  [[nodiscard]] virtual MarkerVariant self_variant() noexcept {
-    return MarkerVariant{this};
-  }
 
   /// Called right after the packet is admitted; `queue_bytes`/`port_bytes`
   /// include the packet. Return true to set CE.
@@ -54,7 +45,6 @@ class Marker {
 /// Marker that never marks (plain drop-tail behaviour).
 class NullMarker final : public Marker {
  public:
-  [[nodiscard]] MarkerVariant self_variant() noexcept override { return this; }
   [[nodiscard]] std::string_view name() const override { return "none"; }
 };
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <type_traits>
+#include <typeinfo>
 #include <utility>
 #include <variant>
 
@@ -28,6 +30,30 @@
 #include "sched/wrr.hpp"
 
 namespace tcn::net {
+
+namespace {
+
+/// The alternative of `Variant` whose pointee is exactly the dynamic type of
+/// `obj`, or alternative 0 (the base pointer, i.e. the virtual path) when
+/// none is: decorators, test doubles and out-of-tree subclasses land there.
+/// Every other alternative must be final, so a typeid match is the only way
+/// an object can be of that class.
+template <typename Variant, std::size_t I = 1, typename Base>
+Variant resolve_variant(Base& obj) {
+  if constexpr (I == std::variant_size_v<Variant>) {
+    return Variant{std::in_place_index<0>, &obj};
+  } else {
+    using T = std::remove_pointer_t<std::variant_alternative_t<I, Variant>>;
+    static_assert(std::is_final_v<T>,
+                  "a static-dispatch alternative must be a final class");
+    if (typeid(obj) == typeid(T)) {
+      return Variant{std::in_place_index<I>, static_cast<T*>(&obj)};
+    }
+    return resolve_variant<Variant, I + 1>(obj);
+  }
+}
+
+}  // namespace
 
 Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
            std::unique_ptr<Scheduler> sched, std::unique_ptr<Marker> marker)
@@ -62,16 +88,9 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
         "Port: rate_bps * rate_limit_fraction rounds to zero");
   }
   sched_->bind(&queues_, effective_rate_bps_);
-  // Capture the concrete types once; every hot call below goes through the
-  // variants. force_virtual_dispatch pins the base-pointer alternative so
-  // benches can measure the devirtualization win on identical behaviour.
-  if (cfg.force_virtual_dispatch) {
-    sched_v_ = SchedulerVariant{sched_.get()};
-    marker_v_ = MarkerVariant{marker_.get()};
-  } else {
-    sched_v_ = sched_->self_variant();
-    marker_v_ = marker_->self_variant();
-  }
+  // Resolve the concrete types once; every hot call below visits these.
+  sched_v_ = resolve_variant<SchedulerVariant>(*sched_);
+  marker_v_ = resolve_variant<MarkerVariant>(*marker_);
   resolve_metrics();
   resolve_timeseries();
 }

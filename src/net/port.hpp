@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "net/dispatch.hpp"
 #include "net/marker.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -48,10 +49,6 @@ struct PortConfig {
   std::uint64_t buffer_bytes = UINT64_MAX;
   /// Drain-rate shaping as a fraction of rate_bps (Sec. 5 rate limiter).
   double rate_limit_fraction = 1.0;
-  /// Pin the scheduler/marker to the virtual-dispatch path even when the
-  /// concrete type is known (see net/dispatch.hpp). Benchmarking knob --
-  /// behaviour is identical either way, only the call mechanism differs.
-  bool force_virtual_dispatch = false;
 };
 
 class Port {
@@ -172,8 +169,8 @@ class Port {
   std::uint64_t effective_rate_bps_;
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<Marker> marker_;
-  /// Concrete-type handles to *sched_/*marker_, captured once at
-  /// construction via self_variant(); the hot path dispatches through these
+  /// Concrete-type handles to *sched_/*marker_, resolved once at
+  /// construction (see port.cpp); the hot path dispatches through these
   /// (std::visit over final classes = direct calls) instead of the vtable.
   SchedulerVariant sched_v_;
   MarkerVariant marker_v_;

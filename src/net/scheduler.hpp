@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "net/dispatch.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "sim/time.hpp"
@@ -20,14 +19,6 @@ namespace tcn::net {
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-
-  /// Static-dispatch registration (see net/dispatch.hpp): concrete in-tree
-  /// schedulers override this with a one-liner returning `this` at their
-  /// final type, letting Port devirtualize the hot calls. The default keeps
-  /// external/test subclasses on the virtual path unchanged.
-  [[nodiscard]] virtual SchedulerVariant self_variant() noexcept {
-    return SchedulerVariant{this};
-  }
 
   /// Called once by the owning Port before any traffic. `queues` outlives the
   /// scheduler; `link_rate_bps` is the port's effective drain rate.

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "obs/export.hpp"
-#include "runner/json.hpp"
+#include "obs/json.hpp"
 
 namespace tcn::runner {
 namespace {
@@ -16,7 +16,8 @@ const char* topology_name(core::FctExperiment::Topology t) {
 
 }  // namespace
 
-void write_run_object(JsonWriter& w, const RunRecord& r, bool include_timing) {
+void write_run_object(obs::JsonWriter& w, const RunRecord& r,
+                      bool include_timing) {
   const auto& cfg = r.job.cfg;
   w.begin_object();
   w.key("index").value(r.job.index);
@@ -118,7 +119,7 @@ std::string to_json(const SweepResult& res, const std::string& name,
   std::uint64_t total_events = 0;
   for (const auto& r : res.runs) total_events += r.report.events;
 
-  JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value("tcn-bench-1");
   w.key("name").value(name);
@@ -169,7 +170,7 @@ void write_json_file(const SweepResult& res, const std::string& name,
 }
 
 std::string metrics_to_json(const SweepResult& res, const std::string& name) {
-  JsonWriter w(2);
+  obs::JsonWriter w(2);
   w.begin_object();
   w.key("schema").value("tcn-metrics-1");
   w.key("name").value(name);

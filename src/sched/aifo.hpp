@@ -31,10 +31,6 @@ namespace tcn::sched {
 
 class AifoScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `window` is the rank-sample window size W (>= 1); `k` in [0, 1) scales
   /// the admission headroom (larger k admits more aggressively). Throws
   /// std::invalid_argument on a bad parameter or null rank program.

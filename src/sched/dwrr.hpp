@@ -25,10 +25,6 @@ namespace tcn::sched {
 class DwrrScheduler final : public net::Scheduler,
                             public net::RoundRateProvider {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `quanta[i]` is queue i's per-round byte allowance (must be > 0 and at
   /// least one MTU to guarantee progress). `beta` smooths round-time samples:
   /// T = beta*T + (1-beta)*sample. `idle_reset` is MQ-ECN's T_idle.

@@ -23,10 +23,6 @@ namespace tcn::sched {
 
 class PifoScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// Computes the rank of a packet at enqueue time (see sched/rank.hpp).
   using RankFn = sched::RankFn;
 

@@ -8,10 +8,6 @@ namespace tcn::sched {
 
 class SpScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   void on_enqueue(std::size_t, const net::Packet&, sim::Time) override {}
 
   std::size_t select(sim::Time) override {

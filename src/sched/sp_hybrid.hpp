@@ -18,10 +18,6 @@ namespace tcn::sched {
 
 class SpHybridScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   SpHybridScheduler(std::size_t num_sp, std::unique_ptr<net::Scheduler> inner);
 
   void bind(const std::vector<net::PacketQueue>* queues,

@@ -30,10 +30,6 @@ namespace tcn::sched {
 
 class SpPifoScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `levels` is the number of strict-priority levels (>= 2; hardware
   /// SP-PIFO uses the 8 queues of a switch port). Throws
   /// std::invalid_argument on levels < 2 or a null rank program.

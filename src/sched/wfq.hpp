@@ -19,10 +19,6 @@ namespace tcn::sched {
 
 class WfqScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   explicit WfqScheduler(std::vector<double> weights);
 
   void bind(const std::vector<net::PacketQueue>* queues,

@@ -13,10 +13,6 @@ namespace tcn::sched {
 
 class WrrScheduler final : public net::Scheduler {
  public:
-  [[nodiscard]] net::SchedulerVariant self_variant() noexcept override {
-    return this;
-  }
-
   explicit WrrScheduler(std::vector<std::uint32_t> weights);
 
   void bind(const std::vector<net::PacketQueue>* queues,

@@ -139,6 +139,9 @@ void TrafficEngine::schedule_tenant(std::size_t tenant) {
 }
 
 void TrafficEngine::tenant_arrival(std::size_t tenant) {
+  // Every tenant keeps one arrival pending, so another tenant may have
+  // reached the cap since this one was scheduled: drop it and stop the chain.
+  if (cfg_.max_flows != 0 && arrivals_ - replayed_ >= cfg_.max_flows) return;
   Tenant& t = *tenants_[tenant];
   net::Host* src;
   net::Host* dst;

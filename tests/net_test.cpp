@@ -196,29 +196,81 @@ TEST_F(PortTest, EnqueueTimestampGivesSojourn) {
   EXPECT_EQ(probe_raw->sojourns[1], 12 * sim::kMicrosecond); // waited 1 pkt
 }
 
-// The static-dispatch variants (net/dispatch.hpp) must be a pure call-
-// mechanism change: identical traffic through a devirtualized port and a
-// force_virtual_dispatch one must produce identical counters, deliveries
-// and marks. Uses a real scheduler/marker pair from the zoo so the visit
-// actually lands on concrete alternatives.
+/// Forwards every call to a wrapped scheduler. Its class is not a
+/// SchedulerVariant alternative, so a port holding one dispatches virtually.
+class ForwardingScheduler final : public Scheduler {
+ public:
+  explicit ForwardingScheduler(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  void bind(const std::vector<PacketQueue>* queues,
+            std::uint64_t link_rate_bps) override {
+    inner_->bind(queues, link_rate_bps);
+  }
+  bool admit(std::size_t q, const Packet& p, sim::Time now,
+             std::uint64_t port_bytes, std::uint64_t buffer_limit) override {
+    return inner_->admit(q, p, now, port_bytes, buffer_limit);
+  }
+  void on_enqueue(std::size_t q, const Packet& p, sim::Time now) override {
+    inner_->on_enqueue(q, p, now);
+  }
+  std::size_t select(sim::Time now) override { return inner_->select(now); }
+  void on_dequeue(std::size_t q, const Packet& p, sim::Time now) override {
+    inner_->on_dequeue(q, p, now);
+  }
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+/// Forwards every call to a wrapped marker; likewise resolves to Marker*.
+class ForwardingMarker final : public Marker {
+ public:
+  explicit ForwardingMarker(std::unique_ptr<Marker> inner)
+      : inner_(std::move(inner)) {}
+  bool on_enqueue(const MarkContext& ctx, const Packet& p) override {
+    return inner_->on_enqueue(ctx, p);
+  }
+  bool on_dequeue(const MarkContext& ctx, const Packet& p) override {
+    return inner_->on_dequeue(ctx, p);
+  }
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+
+ private:
+  std::unique_ptr<Marker> inner_;
+};
+
+// Static dispatch (net/dispatch.hpp) must be a pure call-mechanism change:
+// identical traffic through a port holding the concrete zoo types and one
+// holding forwarding decorators (which Port cannot resolve, so it takes the
+// virtual path) must produce identical counters, deliveries and marks. The
+// virtual path is what every out-of-tree scheduler or marker rides.
 TEST(PortDispatchTest, StaticAndVirtualDispatchAreEquivalent) {
   struct Run {
     Port::Counters counters;
     std::size_t delivered = 0;
     std::size_t ce_marked = 0;
   };
-  const auto drive = [](bool force_virtual) {
+  const auto drive = [](bool wrap) {
     sim::Simulator sim;
     CaptureNode peer;
     PortConfig cfg;
     cfg.rate_bps = 1'000'000'000;
     cfg.num_queues = 2;
     cfg.buffer_bytes = 20'000;
-    cfg.force_virtual_dispatch = force_virtual;
-    Port port(sim, "p", cfg,
-              std::make_unique<sched::DwrrScheduler>(
-                  std::vector<std::uint64_t>{1500, 1500}),
-              std::make_unique<aqm::TcnMarker>(20 * sim::kMicrosecond));
+    std::unique_ptr<Scheduler> sched = std::make_unique<sched::DwrrScheduler>(
+        std::vector<std::uint64_t>{1500, 1500});
+    std::unique_ptr<Marker> marker =
+        std::make_unique<aqm::TcnMarker>(20 * sim::kMicrosecond);
+    if (wrap) {
+      sched = std::make_unique<ForwardingScheduler>(std::move(sched));
+      marker = std::make_unique<ForwardingMarker>(std::move(marker));
+    }
+    Port port(sim, "p", cfg, std::move(sched), std::move(marker));
     port.connect(&peer, 0);
     // Two queues, enough depth that TCN's sojourn threshold trips, plus a
     // burst that overflows the shared buffer.
@@ -239,6 +291,7 @@ TEST(PortDispatchTest, StaticAndVirtualDispatchAreEquivalent) {
   EXPECT_EQ(st.delivered, vt.delivered);
   EXPECT_EQ(st.ce_marked, vt.ce_marked);
   EXPECT_GT(st.ce_marked, 0u);  // the marker really ran on both paths
+  EXPECT_GT(st.counters.drops, 0u);
   EXPECT_EQ(st.counters.enq_packets, vt.counters.enq_packets);
   EXPECT_EQ(st.counters.tx_packets, vt.counters.tx_packets);
   EXPECT_EQ(st.counters.drops, vt.counters.drops);

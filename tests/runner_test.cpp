@@ -17,7 +17,7 @@
 
 #include "fault/fault.hpp"
 #include "net/packet.hpp"
-#include "runner/json.hpp"
+#include "obs/json.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
@@ -26,24 +26,24 @@
 namespace tcn {
 namespace {
 
-using runner::JsonWriter;
+using obs::JsonWriter;
 
 // ---------------------------------------------------------------- JSON ----
 
 TEST(Json, FormatDoubleShortestRoundTrip) {
-  EXPECT_EQ(runner::format_double(0.5), "0.5");
-  EXPECT_EQ(runner::format_double(0.0), "0");
-  EXPECT_EQ(runner::format_double(2000.0), "2000");
-  EXPECT_EQ(runner::format_double(-3.25), "-3.25");
+  EXPECT_EQ(obs::format_double(0.5), "0.5");
+  EXPECT_EQ(obs::format_double(0.0), "0");
+  EXPECT_EQ(obs::format_double(2000.0), "2000");
+  EXPECT_EQ(obs::format_double(-3.25), "-3.25");
   // A value with no short decimal form still round-trips exactly.
   const double ugly = 0.1 + 0.2;
-  EXPECT_EQ(std::strtod(runner::format_double(ugly).c_str(), nullptr), ugly);
-  EXPECT_EQ(runner::format_double(std::nan("")), "null");
+  EXPECT_EQ(std::strtod(obs::format_double(ugly).c_str(), nullptr), ugly);
+  EXPECT_EQ(obs::format_double(std::nan("")), "null");
 }
 
 TEST(Json, EscapesControlCharsAndQuotes) {
-  EXPECT_EQ(runner::escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(runner::escape_json(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(obs::escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(obs::escape_json(std::string("\x01", 1)), "\\u0001");
 }
 
 TEST(Json, WriterProducesNestedDocument) {

@@ -318,7 +318,9 @@ TEST(TrafficEngine, TwoTenantsWithDscpAndDiurnal) {
   cfg.collect_metrics = true;
   const auto report = core::run_fct_experiment(cfg);
   EXPECT_EQ(report.flows_completed, report.traffic_arrivals);
-  EXPECT_GE(report.traffic_arrivals, 300u);  // both chains may land one extra
+  // Exactly the cap: the chain that has an arrival pending when the other
+  // reaches num_flows must not land an extra flow.
+  EXPECT_EQ(report.traffic_arrivals, 300u);
   auto counter = [&](std::string_view name) -> std::uint64_t {
     for (const auto& c : report.metrics.counters) {
       if (c.name == name) return c.value;
