@@ -190,9 +190,7 @@ struct FctReport {
   std::uint64_t pool_recycled = 0;
 
   // Event-engine telemetry (deterministic per config): high-water mark of
-  // pending events and calendar-queue rebuilds. Mirrored by the sweep
-  // runner into its harness registry as sim/event_peak_pending and
-  // sim/calendar_resizes.
+  // pending events and calendar-queue rebuilds.
   std::uint64_t sim_peak_pending = 0;
   std::uint64_t sim_calendar_resizes = 0;
 
