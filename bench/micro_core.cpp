@@ -7,7 +7,8 @@
 // steady-state operations/sec, and --json emits BENCH_micro.json in the
 // tcn-bench-1 layout so CI can track the perf trajectory next to
 // BENCH_suite.json. --gate checks the two in-binary ratios below (calendar
-// queue vs binary heap, time-series sampler on vs off).
+// queue vs binary heap, time-series sampler on vs off); the sampler tick's
+// own per-channel cost is reported but not gated.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -355,6 +356,61 @@ BenchResult bench_port_timeseries(std::string label, bool with_series,
       min_secs);
 }
 
+constexpr int kSamplerTicks = 256;
+
+/// The sampler tick alone, over the channel count of the Fig. 6 star: nine
+/// 4-queue switch ports plus nine host NICs, 45 channels. The first switch
+/// port holds a backlog in all four queues behind a link so slow that its
+/// head packet never finishes serializing, so 4 channels sample a nonzero
+/// depth and 41 sit idle, as on a converge star. Rings are off, as in any
+/// sampled run without --series-out. One op is one channel-sample.
+BenchResult bench_sampler_tick(double min_secs) {
+  net::PacketUidScope uids;
+  net::PacketPool pool;
+  net::PacketPool::Scope scope(pool);
+  obs::TimeSeriesConfig ts_cfg;
+  ts_cfg.interval = sim::kMicrosecond;
+  ts_cfg.max_samples = 0;
+  obs::TimeSeries series(ts_cfg);
+  obs::TimeSeries::Scope series_scope(series);
+
+  sim::Simulator s;
+  SinkNode sink;
+  std::vector<std::unique_ptr<net::Port>> ports;
+  const auto add_port = [&](std::string name, const net::PortConfig& cfg) {
+    ports.push_back(std::make_unique<net::Port>(
+        s, std::move(name), cfg, std::make_unique<net::FifoScheduler>(),
+        std::make_unique<net::NullMarker>()));
+    ports.back()->connect(&sink, 0);
+  };
+  net::PortConfig egress;
+  egress.rate_bps = 1'000;  // a 1500-byte packet serializes for 12 s
+  egress.num_queues = 4;
+  net::PortConfig nic;
+  nic.rate_bps = 10'000'000'000ULL;
+  for (int i = 0; i < 9; ++i) add_port("sw0.p" + std::to_string(i), egress);
+  for (int i = 0; i < 9; ++i) add_port("h" + std::to_string(i) + ".nic", nic);
+  for (std::size_t q = 0; q < egress.num_queues; ++q) {
+    for (int k = 0; k < 2; ++k) {
+      auto p = net::make_packet();
+      p->size = 1500;
+      ports.front()->enqueue(std::move(p), q);
+    }
+  }
+
+  // The pending serialization keeps the sampler re-arming; each call runs
+  // exactly kSamplerTicks ticks and nothing else.
+  series.start(s);
+  sim::Time until = 0;
+  return measure(
+      "sampler_tick", kSamplerTicks * series.num_channels(),
+      [&] {
+        until += kSamplerTicks * ts_cfg.interval;
+        s.run(until);
+      },
+      min_secs);
+}
+
 // ------------------------------------------------- AQM decision / scheds ----
 
 net::MarkContext make_ctx(sim::Time now) {
@@ -524,6 +580,7 @@ int main(int argc, char** argv) {
       bench_port_timeseries("port_pipeline_timeseries_off", false, min_secs));
   results.push_back(
       bench_port_timeseries("port_pipeline_timeseries_on", true, min_secs));
+  results.push_back(bench_sampler_tick(min_secs));
 
   {
     aqm::TcnMarker tcn(100 * sim::kMicrosecond);
@@ -595,6 +652,11 @@ int main(int argc, char** argv) {
     timeseries_overhead = ts_off->ops_per_sec() / ts_on->ops_per_sec() - 1.0;
     std::printf("port path time-series overhead (sampler on vs off):   %.1f%%\n",
                 timeseries_overhead * 100.0);
+  }
+  if (const auto* tick = find("sampler_tick");
+      tick != nullptr && tick->ops_per_sec() > 0) {
+    std::printf("sampler tick cost per channel-sample:                 %.1f ns\n",
+                1e9 / tick->ops_per_sec());
   }
   const auto* eq_cal = find("event_path_calendar");
   const auto* eq_heap = find("event_path_heap");

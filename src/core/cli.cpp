@@ -212,8 +212,8 @@ observability:
                               FCT/drop/mark result
   --sample-ring N             per-channel ring capacity: the last N samples
                               are retained for --series-out (default 2048;
-                              the stability reduction always sees every
-                              sample)
+                              without --series-out no samples are kept; the
+                              stability reduction always sees every sample)
   --series-out PATH           write a tcn-series-1 JSONL dump of every
                               sampled channel after the run (single-run
                               only, rejected in sweeps; implies sampling at

@@ -75,9 +75,13 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
 
   // Time-series sampler (fourth sibling scope), likewise installed before
   // the topology so every port registers its per-queue channels at
-  // construction. --series-out implies sampling at a 100us default.
+  // construction. --series-out implies sampling at a 100us default. Only
+  // the dump reads the rings' points, so without one no points are kept:
+  // the stability reduction sees every tick either way.
   obs::TimeSeriesConfig ts_cfg = cfg.timeseries;
-  if (!cfg.series_out.empty() && !ts_cfg.enabled()) {
+  if (cfg.series_out.empty()) {
+    ts_cfg.max_samples = 0;
+  } else if (!ts_cfg.enabled()) {
     ts_cfg.interval = 100 * sim::kMicrosecond;
   }
   const bool sample_series = ts_cfg.enabled();

@@ -137,6 +137,8 @@ struct FctExperiment {
   /// records depth/sojourn/marks/throughput each interval; the reduction
   /// lands in FctReport::stability. Sampling adds tick events (so
   /// FctReport::events grows) but changes no FCT, drop or mark result.
+  /// `max_samples` sizes the rings that only series_out reads: a run
+  /// without series_out keeps no points.
   obs::TimeSeriesConfig timeseries;
   /// Write a tcn-series-1 JSONL dump of every sampled channel here after
   /// the run (single-run deep dives). Implies sampling: when no interval

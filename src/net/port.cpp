@@ -122,13 +122,8 @@ void Port::resolve_timeseries() {
   series_enabled_ = true;
   series_.reserve(queues_.size());
   for (std::size_t q = 0; q < queues_.size(); ++q) {
-    // The depth probe runs only at tick time; capturing [this, q] keeps the
-    // hot path free of any per-packet probe cost.
-    series_.push_back(ts->add_channel(
-        name_ + ".q" + std::to_string(q), cfg_.buffer_bytes,
-        [this, q]() -> std::pair<std::uint64_t, std::uint64_t> {
-          return {queues_[q].bytes(), queues_[q].size()};
-        }));
+    series_.push_back(
+        ts->add_channel(name_ + ".q" + std::to_string(q), cfg_.buffer_bytes));
   }
 }
 
@@ -214,6 +209,7 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
 
   Packet& ref = *p;
   queues_[queue].push(std::move(p));
+  if (series_enabled_) series_[queue]->on_enqueue(ref.size);
   std::visit([&](auto* s) { s->on_enqueue(queue, ref, sim_.now()); },
              sched_v_);
 

@@ -189,6 +189,7 @@ class Port {
   /// Per-queue time-series channels, resolved once at construction from
   /// obs::TimeSeries::current() -- same null-handle discipline as Metrics.
   /// Empty (and series_enabled_ false) when no sampler scope is installed.
+  /// Fed every push and pop, so each channel's depth mirrors its queue.
   std::vector<obs::TimeSeries::Channel*> series_;
   bool series_enabled_ = false;
   sim::Time last_dequeue_ = -1;  // -1: no dequeue yet (gap undefined)

@@ -21,10 +21,11 @@ std::string_view regime_name(Regime r) noexcept {
   return "stable";
 }
 
-Regime regime_from_name(std::string_view s) noexcept {
+std::optional<Regime> regime_from_name(std::string_view s) noexcept {
+  if (s == "stable") return Regime::kStable;
   if (s == "oscillating") return Regime::kOscillating;
   if (s == "saturated") return Regime::kSaturated;
-  return Regime::kStable;
+  return std::nullopt;
 }
 
 void StabilityAnalyzer::observe(const SeriesPoint& p) noexcept {
@@ -141,9 +142,8 @@ std::vector<SeriesPoint> TimeSeries::Channel::points() const {
 void TimeSeries::Channel::sample(sim::Time now) {
   SeriesPoint pt;
   pt.t = now;
-  const auto [bytes, packets] = probe_();
-  pt.depth_bytes = bytes;
-  pt.depth_packets = packets;
+  pt.depth_bytes = depth_bytes_;
+  pt.depth_packets = depth_packets_;
   pt.deq_packets = acc_deq_;
   pt.sojourn_sum_ns = acc_sojourn_;
   pt.marks = acc_marks_;
@@ -164,10 +164,9 @@ void TimeSeries::Channel::sample(sim::Time now) {
 }
 
 TimeSeries::Channel* TimeSeries::add_channel(std::string name,
-                                             std::uint64_t cap_bytes,
-                                             DepthProbe probe) {
-  channels_.push_back(std::make_unique<Channel>(
-      std::move(name), cap_bytes, std::move(probe), cfg_.max_samples));
+                                             std::uint64_t cap_bytes) {
+  channels_.push_back(
+      std::make_unique<Channel>(std::move(name), cap_bytes, cfg_.max_samples));
   return channels_.back().get();
 }
 

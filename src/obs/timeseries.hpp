@@ -11,8 +11,12 @@
 //     thread-local TimeSeries::Scope (the exact null-handle discipline of
 //     MetricsRegistry / PortObserver), so each hot-path publish site costs
 //     a single predictable branch when sampling is off
+//   - channel-local state only: the port feeds each channel its queue's
+//     enqueues and dequeues, so the channel mirrors the queue depth itself
+//     and a tick reads nothing outside the channel
 //   - per-channel bounded ring buffers of SeriesPoint (O(max_samples)
-//     memory regardless of run length) for --series-out deep dives
+//     memory regardless of run length) for --series-out deep dives; a run
+//     that writes no dump samples with max_samples = 0 and keeps no points
 //   - an online StabilityAnalyzer fed every tick (O(1) memory: Welford /
 //     Pebay central moments, running lag-1 autocorrelation sums) reducing
 //     each series to deterministic stability metrics -- oscillation score
@@ -40,8 +44,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -55,15 +59,15 @@ struct TimeSeriesConfig {
   /// Sampling interval in simulated time; 0 = sampler disabled.
   sim::Time interval = 0;
   /// Ring capacity per channel: the LAST max_samples ticks are retained for
-  /// serialization. The analyzer always sees every tick.
+  /// serialization; 0 retains none. The analyzer always sees every tick.
   std::size_t max_samples = 2048;
 
   [[nodiscard]] bool enabled() const noexcept { return interval > 0; }
 };
 
-/// One fixed-interval observation of one (port, queue) channel. Depth is an
-/// instantaneous probe at the tick; the other fields are sums over the
-/// interval that ended at `t`.
+/// One fixed-interval observation of one (port, queue) channel. Depth is the
+/// queue's instantaneous occupancy at the tick; the other fields are sums
+/// over the interval that ended at `t`.
 struct SeriesPoint {
   sim::Time t = 0;
   std::uint64_t depth_bytes = 0;
@@ -77,9 +81,9 @@ struct SeriesPoint {
 enum class Regime : std::uint8_t { kStable, kOscillating, kSaturated };
 
 [[nodiscard]] std::string_view regime_name(Regime r) noexcept;
-/// Inverse of regime_name; unknown strings parse as kStable (the
-/// find-with-default journal discipline).
-[[nodiscard]] Regime regime_from_name(std::string_view s) noexcept;
+/// Inverse of regime_name; nullopt for a string that names no regime.
+[[nodiscard]] std::optional<Regime> regime_from_name(
+    std::string_view s) noexcept;
 
 /// Deterministic reduction of one channel's series.
 struct StabilityResult {
@@ -159,29 +163,41 @@ class StabilityAnalyzer {
 /// per queue. start() arms the periodic tick.
 class TimeSeries {
  public:
-  /// Instantaneous (depth_bytes, depth_packets) probe, invoked only at
-  /// tick time -- publishers stay decoupled from net/ headers.
-  using DepthProbe = std::function<std::pair<std::uint64_t, std::uint64_t>()>;
-
-  /// One sampled (port, queue) stream. Publishers call the on_* hooks from
-  /// their hot paths behind a single null-check branch; the tick drains the
-  /// interval accumulators into a SeriesPoint.
+  /// One sampled (port, queue) stream. The publisher -- the only writer of
+  /// the queue -- calls the on_* hooks from its hot paths behind a single
+  /// null-check branch: every push and pop, so the channel's depth mirrors
+  /// the queue exactly, plus every CE mark. The tick snapshots the depth and
+  /// drains the interval accumulators into a SeriesPoint.
   class Channel {
    public:
-    Channel(std::string name, std::uint64_t cap_bytes, DepthProbe probe,
+    Channel(std::string name, std::uint64_t cap_bytes,
             std::size_t max_samples)
         : name_(std::move(name)),
           cap_bytes_(cap_bytes),
-          probe_(std::move(probe)),
           max_samples_(max_samples) {}
 
+    /// A packet of `bytes` joined the queue.
+    void on_enqueue(std::uint64_t bytes) noexcept {
+      depth_bytes_ += bytes;
+      ++depth_packets_;
+    }
+    /// A packet of `bytes` left the queue after `sojourn` in it.
     void on_dequeue(sim::Time sojourn, std::uint64_t bytes) noexcept {
+      depth_bytes_ -= bytes;
+      --depth_packets_;
       ++acc_deq_;
       acc_sojourn_ += static_cast<std::uint64_t>(sojourn < 0 ? 0 : sojourn);
       acc_tx_bytes_ += bytes;
     }
     void on_mark() noexcept { ++acc_marks_; }
 
+    /// The queue's current occupancy, as fed through the hooks.
+    [[nodiscard]] std::uint64_t depth_bytes() const noexcept {
+      return depth_bytes_;
+    }
+    [[nodiscard]] std::uint64_t depth_packets() const noexcept {
+      return depth_packets_;
+    }
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::uint64_t cap_bytes() const noexcept {
       return cap_bytes_;
@@ -200,8 +216,10 @@ class TimeSeries {
 
     std::string name_;
     std::uint64_t cap_bytes_;
-    DepthProbe probe_;
     std::size_t max_samples_;
+    // Queue occupancy, kept current by on_enqueue/on_dequeue.
+    std::uint64_t depth_bytes_ = 0;
+    std::uint64_t depth_packets_ = 0;
     // Interval accumulators, drained every tick.
     std::uint64_t acc_deq_ = 0;
     std::uint64_t acc_sojourn_ = 0;
@@ -218,9 +236,9 @@ class TimeSeries {
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
 
-  /// Register a channel (stable address for the publisher's lifetime).
-  Channel* add_channel(std::string name, std::uint64_t cap_bytes,
-                       DepthProbe probe);
+  /// Register a channel for an empty queue (stable address for the
+  /// publisher's lifetime).
+  Channel* add_channel(std::string name, std::uint64_t cap_bytes);
 
   /// Arm the periodic tick: first sample at now + interval. Call after the
   /// workload is scheduled. Safe to call again after the sampler stopped

@@ -1,8 +1,9 @@
 // Golden-trace regression test: a tiny fixed-seed SP+DWRR scenario streamed
-// through the tcn-trace-1 JSONL writer and the tcn-metrics-1 exporter, then
-// byte-compared against checked-in goldens. Any change to event ordering,
-// trace schema, metric naming, histogram bucketing or JSON rendering shows
-// up here as a byte diff.
+// through the tcn-trace-1 JSONL writer and the tcn-metrics-1 exporter (and,
+// sampled, the tcn-series-1 dump), then byte-compared against checked-in
+// goldens. Any change to event ordering, trace schema, metric naming,
+// histogram bucketing, sampled queue depth or JSON rendering shows up here
+// as a byte diff.
 //
 // Regenerating after an INTENTIONAL format change (review the diff!):
 //
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -24,6 +26,7 @@
 #include "net/port.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -67,19 +70,28 @@ void compare_or_update(const std::string& name, const std::string& actual) {
 /// The scenario: one 1G egress port, 3 queues under SP+DWRR (queue 0
 /// strict, queues 1-2 DWRR), a 9KB shared buffer and a 20us TCN marker.
 /// Bursts at t=0/5us/12us build enough backlog for dequeue-side marks and
-/// one tail drop; a late lone packet at 400us dequeues unmarked.
+/// one tail drop; a late lone packet at 400us dequeues unmarked. With an
+/// enabled `series_cfg` a time-series sampler watches the port's queues too.
 struct Run {
   std::string trace;
   std::string metrics;
+  std::string series;  ///< tcn-series-1 dump; empty when not sampled
 };
 
 Run run_scenario_with(const core::SchedConfig& sched_cfg,
-                      std::uint64_t buffer_bytes) {
+                      std::uint64_t buffer_bytes,
+                      obs::TimeSeriesConfig series_cfg = {}) {
   net::PacketUidScope uid_scope;
   net::PacketPool pool;
   net::PacketPool::Scope pool_scope(pool);
   obs::MetricsRegistry registry;
   obs::MetricsRegistry::Scope metrics_scope(registry);
+  std::optional<obs::TimeSeries> series;
+  std::optional<obs::TimeSeries::Scope> series_scope;
+  if (series_cfg.enabled()) {
+    series.emplace(series_cfg);
+    series_scope.emplace(*series);
+  }
 
   sim::Simulator sim;
 
@@ -120,20 +132,35 @@ Run run_scenario_with(const core::SchedConfig& sched_cfg,
     enq(2, 1500, 6);
   });
   sim.schedule_at(400 * sim::kMicrosecond, [&] { enq(0, 100, 7); });
+  if (series) series->start(sim);
   sim.run();
 
   Run r;
   r.trace = out.str();
   r.metrics = obs::metrics_to_json(registry.snapshot()) + "\n";
+  if (series) {
+    std::ostringstream dump;
+    obs::write_series_jsonl(dump, *series);
+    r.series = dump.str();
+  }
   return r;
 }
 
-Run run_scenario() {
+Run run_scenario(obs::TimeSeriesConfig series_cfg = {}) {
   core::SchedConfig sched_cfg;
   sched_cfg.kind = core::SchedKind::kSpDwrr;
   sched_cfg.num_queues = 3;
   sched_cfg.num_sp = 1;
-  return run_scenario_with(sched_cfg, 9'000);
+  return run_scenario_with(sched_cfg, 9'000, series_cfg);
+}
+
+/// The SP+DWRR scenario sampled every 2us into 8-point rings: ~200 ticks,
+/// so every ring wraps, and the analyzer's moments see each tick's depth.
+Run run_sampled_scenario() {
+  obs::TimeSeriesConfig series_cfg;
+  series_cfg.interval = 2 * sim::kMicrosecond;
+  series_cfg.max_samples = 8;
+  return run_scenario(series_cfg);
 }
 
 /// Same arrival script through the 4-level SP-PIFO with the STFQ rank
@@ -167,6 +194,10 @@ TEST(GoldenTrace, SpDwrrScenarioMetricsBytes) {
   compare_or_update("metrics_sp_dwrr.json", run_scenario().metrics);
 }
 
+TEST(GoldenTrace, SpDwrrScenarioSeriesBytes) {
+  compare_or_update("series_sp_dwrr.jsonl", run_sampled_scenario().series);
+}
+
 TEST(GoldenTrace, SpPifoScenarioTraceBytes) {
   compare_or_update("trace_sp_pifo.jsonl", run_sp_pifo_scenario().trace);
 }
@@ -196,6 +227,11 @@ TEST(GoldenTrace, ScenarioIsSelfConsistent) {
   const auto again = run_scenario();
   EXPECT_EQ(r.trace, again.trace);
   EXPECT_EQ(r.metrics, again.metrics);
+  // Sampling observes without perturbing: same trace and metrics bytes.
+  const auto sampled = run_sampled_scenario();
+  EXPECT_EQ(r.trace, sampled.trace);
+  EXPECT_EQ(r.metrics, sampled.metrics);
+  EXPECT_FALSE(sampled.series.empty());
 }
 
 TEST(GoldenTrace, AifoScenarioIsSelfConsistent) {

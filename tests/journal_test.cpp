@@ -328,6 +328,38 @@ TEST(Journal, CorruptionBeforeTheTailThrows) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, UnknownStabilityRegimeIsCorrupt) {
+  const std::string path = temp_path("journal_regime.jsonl");
+  auto spec = small_spec();
+  spec.base.timeseries.interval = 100 * sim::kMicrosecond;
+  runner::SweepOptions opt;
+  opt.journal_out = path;
+  opt.journal_name = spec.name;
+  ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
+
+  // Rename the first record's regime (line 2, after the header) to a name
+  // no regime has. The line stays complete JSON, so it is not a torn tail.
+  std::string text = slurp(path);
+  const std::string key = "\"regime\":\"";
+  const auto at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LT(at, text.find('\n', text.find('\n') + 1));
+  const auto value = at + key.size();
+  text.replace(value, text.find('"', value) - value, "garbage");
+  spit(path, text);
+
+  try {
+    (void)runner::load_journal(path);
+    ADD_FAILURE() << "a journal with regime \"garbage\" loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
+    EXPECT_NE(what.find("stability.regime"), std::string::npos) << what;
+    EXPECT_NE(what.find("'garbage'"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Journal, DuplicateIndexKeepsTheLastRecord) {
   const std::string path = temp_path("journal_dup.jsonl");
   const auto jobs = small_spec().expand();

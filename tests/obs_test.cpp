@@ -1,7 +1,8 @@
 // Observability layer tests: histogram bucket math, registry scoping,
-// flight recorder ring, exporter byte formats, and the property battery
-// that locks the port/marker instrumentation to the simulation's own
-// accounting across every scheduler and AQM.
+// flight recorder ring, exporter byte formats, the property battery that
+// locks the port/marker instrumentation to the simulation's own accounting
+// across every scheduler and AQM, and the same grid holding each sampler
+// channel's port-fed depth equal to the queue it mirrors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,20 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/schemes.hpp"
+#include "fault/fault.hpp"
+#include "net/switch.hpp"
 #include "net/trace.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
+#include "topo/network.hpp"
+#include "transport/flow.hpp"
+#include "workload/distributions.hpp"
+#include "workload/traffic_gen.hpp"
 
 namespace tcn::obs {
 namespace {
@@ -528,6 +537,160 @@ TEST(ObsProperties, SweepMetricsByteIdenticalAcrossJobs) {
     EXPECT_TRUE(r.report.metrics_collected);
     EXPECT_FALSE(r.report.metrics.empty());
   }
+}
+
+// ---------------------------------------------------- series depth mirror ----
+
+/// What one depth-mirror run exercised, summed over the switch ports.
+struct MirrorRun {
+  std::uint64_t busy_checks = 0;  ///< channel checks that saw a backlog
+  std::uint64_t buffer_drops = 0;
+  std::uint64_t sched_drops = 0;
+  std::uint64_t fault_drops = 0;
+};
+
+/// Runs one grid cell on the star with the sampler on, built by hand so the
+/// simulation can stop between short run(until) slices (run_fct_experiment
+/// runs to completion in one call). After every slice each channel's
+/// port-fed depth must equal the queue it mirrors. The shared buffer is
+/// tight and AIFO's gate strict, so buffer and admission drops happen too;
+/// `faults` is a --faults plan applied before the traffic starts.
+MirrorRun run_depth_mirror(const GridCase& c, const std::string& faults = "") {
+  core::FctExperiment cfg = grid_config(c);
+  cfg.sched.num_queues = 4;
+  cfg.sched.aifo_window = 16;
+  cfg.sched.aifo_k = 0.0;
+  cfg.star.num_queues = cfg.sched.num_queues;
+  cfg.star.buffer_bytes = 24'000;
+
+  net::PacketUidScope uid_scope;
+  net::PacketPool pool;
+  net::PacketPool::Scope pool_scope(pool);
+  TimeSeriesConfig ts_cfg;
+  ts_cfg.interval = 20 * sim::kMicrosecond;
+  ts_cfg.max_samples = 0;
+  TimeSeries series(ts_cfg);
+  TimeSeries::Scope series_scope(series);
+
+  sim::Simulator sim;
+  topo::Network network = topo::build_star(
+      sim, cfg.star, core::make_scheduler_factory(cfg.sched),
+      core::make_marker_factory(cfg.scheme, cfg.params));
+  fault::FaultInjector injector(sim, cfg.seed);
+  if (!faults.empty()) injector.apply(network, fault::parse_fault_specs(faults));
+
+  // Pair every queue with the channel its port registered, by name.
+  std::map<std::string, const TimeSeries::Channel*> by_name;
+  for (const TimeSeries::Channel* ch : series.sorted_channels()) {
+    by_name[ch->name()] = ch;
+  }
+  struct Mirror {
+    const net::Port* port;
+    std::size_t queue;
+    const TimeSeries::Channel* channel;
+  };
+  std::vector<Mirror> mirrors;
+  std::vector<const net::Port*> switch_ports;
+  const auto add_port = [&](const net::Port& port) {
+    for (std::size_t q = 0; q < port.num_queues(); ++q) {
+      const auto it = by_name.find(port.name() + ".q" + std::to_string(q));
+      if (it != by_name.end()) mirrors.push_back({&port, q, it->second});
+    }
+  };
+  net::Switch& sw = network.switch_at(0);
+  for (std::size_t p = 0; p < sw.num_ports(); ++p) {
+    add_port(sw.port(p));
+    switch_ports.push_back(&sw.port(p));
+  }
+  for (std::size_t h = 0; h < network.num_hosts(); ++h) {
+    add_port(network.host(h).nic());
+  }
+  EXPECT_EQ(mirrors.size(), series.num_channels());
+
+  transport::FlowManager fm;
+  std::vector<net::Host*> senders;
+  for (std::size_t h = 1; h < network.num_hosts(); ++h) {
+    senders.push_back(&network.host(h));
+  }
+  workload::GenConfig gen;
+  gen.load = cfg.load;
+  gen.num_flows = cfg.num_flows;
+  gen.num_services = static_cast<std::uint32_t>(cfg.sched.num_queues);
+  gen.seed = cfg.seed;
+  workload::ConvergeGenerator converge(
+      sim,
+      [&fm](net::Host& src, net::Host& dst, transport::FlowSpec spec) {
+        fm.start_flow(src, dst, std::move(spec));
+      },
+      senders, &network.host(0),
+      &workload::distribution(workload::Kind::kCache), gen,
+      [](std::uint32_t service, std::uint64_t size) {
+        transport::FlowSpec spec;
+        spec.size = size;
+        spec.service = service;
+        spec.data_dscp =
+            transport::constant_dscp(static_cast<std::uint8_t>(service));
+        spec.ack_dscp = static_cast<std::uint8_t>(service);
+        return spec;
+      });
+  converge.start();
+  series.start(sim);
+
+  MirrorRun run;
+  constexpr sim::Time kSlice = 50 * sim::kMicrosecond;
+  for (sim::Time until = kSlice; sim.pending() > 0 && until <= sim::kSecond;
+       until += kSlice) {
+    sim.run(until);
+    for (const Mirror& m : mirrors) {
+      const std::uint64_t bytes = m.port->queue_bytes(m.queue);
+      const std::uint64_t packets = m.port->queue_packets(m.queue);
+      if (m.channel->depth_bytes() != bytes ||
+          m.channel->depth_packets() != packets) {
+        ADD_FAILURE() << m.channel->name() << " at t=" << sim.now()
+                      << ": channel " << m.channel->depth_bytes() << " B / "
+                      << m.channel->depth_packets() << " pkts, queue "
+                      << bytes << " B / " << packets << " pkts";
+        return run;
+      }
+      if (packets > 0) ++run.busy_checks;
+    }
+  }
+  EXPECT_EQ(sim.pending(), 0u) << "the run did not drain";
+  for (const net::Port* port : switch_ports) {
+    run.buffer_drops += port->counters().drops;
+    run.sched_drops += port->counters().sched_drops;
+    run.fault_drops += port->counters().fault_drops;
+  }
+  return run;
+}
+
+TEST(SeriesDepthMirror, ChannelDepthEqualsQueueAcrossSchedulersAndAqms) {
+  for (const auto& c : kGrid) {
+    SCOPED_TRACE(c.label);
+    const MirrorRun run = run_depth_mirror(c);
+    EXPECT_GT(run.busy_checks, 0u);
+    EXPECT_GT(run.buffer_drops + run.sched_drops, 0u);
+    if (c.sched == core::SchedKind::kAifo) {
+      EXPECT_GT(run.sched_drops, 0u);
+    }
+  }
+}
+
+TEST(SeriesDepthMirror, HoldsThroughALinkOutage) {
+  // The bottleneck egress goes down mid-run: queued packets sit out the
+  // outage while new arrivals are blackholed before they reach a queue.
+  const MirrorRun run = run_depth_mirror(kGrid[3], "linkdown:sw0.p0:5:20");
+  EXPECT_GT(run.busy_checks, 0u);
+  EXPECT_GT(run.fault_drops, 0u);
+}
+
+TEST(SeriesDepthMirror, HoldsThroughABufferSqueeze) {
+  // Squeezing the shared buffer evicts nothing; arrivals tail-drop until
+  // the backlog drains below the new cap.
+  const MirrorRun run =
+      run_depth_mirror(kGrid[3], "squeeze:sw0.p0:6000:0:100");
+  EXPECT_GT(run.busy_checks, 0u);
+  EXPECT_GT(run.buffer_drops, 0u);
 }
 
 TEST(ObsProperties, TraceWriterCountsMatchTracer) {

@@ -5,6 +5,7 @@
 // "stability" key) still parse.
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -181,7 +182,8 @@ TEST(StabilityAnalyzer, RegimeNamesRoundTrip) {
                        obs::Regime::kSaturated}) {
     EXPECT_EQ(obs::regime_from_name(obs::regime_name(r)), r);
   }
-  EXPECT_EQ(obs::regime_from_name("garbage"), obs::Regime::kStable);
+  EXPECT_EQ(obs::regime_from_name("garbage"), std::nullopt);
+  EXPECT_EQ(obs::regime_from_name(""), std::nullopt);
 }
 
 // ----------------------------------------------------------- TimeSeries -----
@@ -191,17 +193,14 @@ TEST(TimeSeries, RingKeepsLastMaxSamplesButAnalyzerSeesAll) {
   cfg.interval = 10 * sim::kMicrosecond;
   cfg.max_samples = 4;
   obs::TimeSeries ts(cfg);
-  std::uint64_t depth = 0;
-  auto* ch = ts.add_channel("q0", 100'000, [&depth] {
-    return std::pair<std::uint64_t, std::uint64_t>{depth, depth / 1'500};
-  });
+  auto* ch = ts.add_channel("q0", 100'000);
 
   sim::Simulator s;
-  // Keep the event queue non-empty through 10 sampler ticks; the depth
-  // steps by 1000 bytes just before each tick fires.
+  // Keep the event queue non-empty through 10 sampler ticks; one 1000-byte
+  // packet joins the queue just before each tick fires.
   for (int i = 0; i < 10; ++i) {
     s.schedule_at(static_cast<sim::Time>(i * 10 + 9) * sim::kMicrosecond,
-                  [&depth] { depth += 1'000; });
+                  [ch] { ch->on_enqueue(1'000); });
   }
   ts.start(s);
   s.run();
@@ -214,19 +213,22 @@ TEST(TimeSeries, RingKeepsLastMaxSamplesButAnalyzerSeesAll) {
     EXPECT_LT(pts[i - 1].t, pts[i].t);  // oldest-first unroll
   }
   EXPECT_EQ(pts.back().depth_bytes, 10'000u);  // the final tick's sample
+  EXPECT_EQ(pts.back().depth_packets, 10u);
 }
 
 TEST(TimeSeries, AccumulatorsDrainPerTick) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* ch = ts.add_channel("q0", 100'000, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  auto* ch = ts.add_channel("q0", 100'000);
 
   sim::Simulator s;
-  // Two dequeues and a mark before the first tick; nothing afterwards.
+  // Three packets in, two out and a mark before the first tick; nothing
+  // afterwards.
   s.schedule_at(5 * sim::kMicrosecond, [ch] {
+    ch->on_enqueue(1'500);
+    ch->on_enqueue(1'500);
+    ch->on_enqueue(700);
     ch->on_dequeue(2'000, 1'500);
     ch->on_dequeue(4'000, 1'500);
     ch->on_mark();
@@ -241,17 +243,18 @@ TEST(TimeSeries, AccumulatorsDrainPerTick) {
   EXPECT_EQ(pts[0].sojourn_sum_ns, 6'000u);
   EXPECT_EQ(pts[0].marks, 1u);
   EXPECT_EQ(pts[0].tx_bytes, 3'000u);
+  EXPECT_EQ(pts[0].depth_bytes, 700u);  // what the dequeues left behind
+  EXPECT_EQ(pts[0].depth_packets, 1u);
   EXPECT_EQ(pts[1].deq_packets, 0u);  // drained, not carried over
   EXPECT_EQ(pts[1].marks, 0u);
+  EXPECT_EQ(pts[1].depth_bytes, 700u);  // depth is a level, not a sum
 }
 
 TEST(TimeSeries, SamplerStopsWhenSimDrainsAndRearms) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  ts.add_channel("q0", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  ts.add_channel("q0", 0);
   sim::Simulator s;
   s.schedule_at(35 * sim::kMicrosecond, [] {});
   ts.start(s);
@@ -266,22 +269,66 @@ TEST(TimeSeries, SamplerStopsWhenSimDrainsAndRearms) {
   EXPECT_GT(ts.ticks(), first_ticks);
 }
 
+/// Ten ticks of a channel whose depth and dequeues vary tick to tick.
+void drive_ten_ticks(obs::TimeSeries& ts, obs::TimeSeries::Channel* ch) {
+  sim::Simulator s;
+  for (int i = 0; i < 10; ++i) {
+    s.schedule_at(static_cast<sim::Time>(i * 10 + 5) * sim::kMicrosecond,
+                  [ch, i] {
+                    for (int k = 0; k < 1 + i % 3; ++k) ch->on_enqueue(1'500);
+                    if (i % 2 == 1) ch->on_dequeue(3'000 * i, 1'500);
+                    if (i % 4 == 0) ch->on_mark();
+                  });
+  }
+  ts.start(s);
+  s.run();
+}
+
+TEST(TimeSeries, ZeroRingKeepsNoPointsAndTheSameReduction) {
+  obs::TimeSeriesConfig cfg;
+  cfg.interval = 10 * sim::kMicrosecond;
+  cfg.max_samples = 4;
+  obs::TimeSeries ringed(cfg);
+  auto* with_ring = ringed.add_channel("q0", 100'000);
+  drive_ten_ticks(ringed, with_ring);
+
+  cfg.max_samples = 0;
+  obs::TimeSeries bare(cfg);
+  auto* without_ring = bare.add_channel("q0", 100'000);
+  drive_ten_ticks(bare, without_ring);
+
+  EXPECT_EQ(with_ring->points().size(), 4u);
+  EXPECT_TRUE(without_ring->points().empty());
+  EXPECT_EQ(bare.ticks(), ringed.ticks());
+  EXPECT_EQ(without_ring->analyzer().samples(), bare.ticks());
+  const auto a = with_ring->analyzer().result(with_ring->cap_bytes());
+  const auto b = without_ring->analyzer().result(without_ring->cap_bytes());
+  EXPECT_GT(a.depth_mean_bytes, 0.0);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.depth_mean_bytes, b.depth_mean_bytes);
+  EXPECT_EQ(a.depth_cv, b.depth_cv);
+  EXPECT_EQ(a.oscillation_score, b.oscillation_score);
+  EXPECT_EQ(a.sojourn_cv, b.sojourn_cv);
+  EXPECT_EQ(a.mark_burstiness, b.mark_burstiness);
+  EXPECT_EQ(a.lag1_autocorr, b.lag1_autocorr);
+  EXPECT_EQ(a.bimodality, b.bimodality);
+  EXPECT_EQ(a.regime, b.regime);
+}
+
 TEST(TimeSeries, DominantChannelByTxBytesThenName) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* a = ts.add_channel("p0.q1", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
-  auto* b = ts.add_channel("p0.q0", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  auto* a = ts.add_channel("p0.q1", 0);
+  auto* b = ts.add_channel("p0.q0", 0);
   EXPECT_EQ(ts.dominant_channel()->name(), "p0.q0");  // tie -> lexicographic
 
   // tx bytes reach the analyzer at tick time, so drive one sampling tick.
   sim::Simulator s;
   s.schedule_at(5 * sim::kMicrosecond, [a, b] {
+    a->on_enqueue(3'000);
     a->on_dequeue(1'000, 3'000);
+    b->on_enqueue(1'500);
     b->on_dequeue(1'000, 1'500);
   });
   ts.start(s);
