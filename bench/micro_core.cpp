@@ -7,8 +7,10 @@
 // steady-state operations/sec, and --json emits BENCH_micro.json in the
 // tcn-bench-1 layout so CI can track the perf trajectory next to
 // BENCH_suite.json. --gate checks the two in-binary ratios below (calendar
-// queue vs binary heap, time-series sampler on vs off); the sampler tick's
-// own per-channel cost is reported but not gated.
+// queue vs binary heap, time-series sampler on vs off, the latter timed as
+// an interleaved pair); the sampler tick's own per-channel cost is
+// reported but not gated.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -90,6 +92,61 @@ BenchResult measure(std::string label, std::uint64_t ops_per_call, Body body,
     r.ops += ops_per_call;
     r.secs = seconds_since(t0);
   } while (r.secs < min_secs);
+  return r;
+}
+
+/// A pair of rows whose ratio is gated (see measure_pair()).
+struct PairResult {
+  BenchResult a;
+  BenchResult b;
+  /// Median over rounds of the B call's time over the A call's.
+  double slowdown = 0.0;
+};
+
+/// measure() for an A/B pair that is compared: the bodies alternate, one
+/// call each per round (AB, then BA, so neither side always runs second),
+/// inside one timing loop of 2 * min_secs. Drift in host speed then lands
+/// on both sides alike, which two rows timed one after the other cannot
+/// promise on a shared host. Each row keeps measure()'s fastest-call
+/// throughput; the gated ratio is `slowdown`, the median of the per-round
+/// B/A call-time ratios.
+template <typename BodyA, typename BodyB>
+PairResult measure_pair(std::string label_a, std::string label_b,
+                        std::uint64_t ops_per_call, BodyA body_a,
+                        BodyB body_b, double min_secs) {
+  body_a();  // warmup, as in measure()
+  body_b();
+  PairResult r;
+  r.a.label = std::move(label_a);
+  r.b.label = std::move(label_b);
+  for (BenchResult* row : {&r.a, &r.b}) {
+    row->ops_per_call = ops_per_call;
+    row->best_call_secs = 1e30;
+  }
+  const auto call = [&](auto& body, BenchResult& row) {
+    const auto c0 = Clock::now();
+    body();
+    const double secs = seconds_since(c0);
+    row.best_call_secs = std::min(row.best_call_secs, secs);
+    row.ops += ops_per_call;
+    row.secs += secs;
+    return secs;
+  };
+  std::vector<double> ratios;
+  const auto t0 = Clock::now();
+  do {
+    if (ratios.size() % 2 == 0) {
+      const double a = call(body_a, r.a);
+      ratios.push_back(call(body_b, r.b) / a);
+    } else {
+      const double b = call(body_b, r.b);
+      ratios.push_back(b / call(body_a, r.a));
+    }
+  } while (seconds_since(t0) < 2 * min_secs);
+  const auto mid =
+      ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  r.slowdown = *mid;
   return r;
 }
 
@@ -315,43 +372,61 @@ BenchResult bench_port_pipeline(std::string label, bool with_metrics,
 }
 
 /// The obs_off pipeline again, but against the time-series sampler instead
-/// of the metrics registry: `with_series` installs a TimeSeries scope (so
-/// the port resolves per-queue channels at construction) and re-arms the
-/// periodic sampler before every batch. The on/off ratio is the CI gate for
-/// the sampler's enabled cost -- the per-dequeue channel accumulation plus
-/// the amortized 100us tick events must stay within 5% of the bare
-/// pipeline; disabled it is the same null-handle zero as the metrics path.
-BenchResult bench_port_timeseries(std::string label, bool with_series,
-                                  double min_secs) {
+/// of the metrics registry: two identical ports on their own simulators,
+/// one built inside a TimeSeries scope (so it resolves per-queue channels
+/// at construction) whose sampler is re-armed before every batch. Their
+/// batches alternate inside one measure_pair() loop, and the paired
+/// on/off slowdown is the CI gate for the sampler's enabled cost -- the
+/// per-dequeue channel accumulation plus the amortized 100us tick events
+/// must stay within 5% of the bare pipeline; disabled it is the same
+/// null-handle zero as the metrics path.
+PairResult bench_port_timeseries(double min_secs) {
   net::PacketUidScope uids;
   net::PacketPool pool;
   net::PacketPool::Scope scope(pool);
   obs::TimeSeriesConfig ts_cfg;
   ts_cfg.interval = 100 * sim::kMicrosecond;
-  std::optional<obs::TimeSeries> series;
-  std::optional<obs::TimeSeries::Scope> series_scope;
-  if (with_series) {
-    series.emplace(ts_cfg);
-    series_scope.emplace(*series);
-  }
+  obs::TimeSeries series(ts_cfg);
 
-  sim::Simulator s;
+  // Both rigs live on the heap: on the stack their distance to the heap
+  // data they touch moves with address-space randomization, and an
+  // unsampled/unsampled (A/A) pair then read up to 6.7% apart. Built this
+  // way, A/A pairs read within 0.6%.
+  struct Rig {
+    sim::Simulator sim;
+    SinkNode sink;
+    std::unique_ptr<net::Port> port;
+  };
   net::PortConfig cfg;
   cfg.rate_bps = 10'000'000'000ULL;
-  net::Port port(s, "bench.p2", cfg, std::make_unique<net::FifoScheduler>(),
-                 std::make_unique<net::NullMarker>());
-  SinkNode sink;
-  port.connect(&sink, 0);
-  return measure(
-      std::move(label), kPortBatch,
+  const auto build = [&] {
+    auto rig = std::make_unique<Rig>();
+    rig->port = std::make_unique<net::Port>(
+        rig->sim, "bench.p2", cfg, std::make_unique<net::FifoScheduler>(),
+        std::make_unique<net::NullMarker>());
+    rig->port->connect(&rig->sink, 0);
+    return rig;
+  };
+  std::unique_ptr<Rig> on;
+  {
+    obs::TimeSeries::Scope series_scope(series);
+    on = build();
+  }
+  const std::unique_ptr<Rig> off = build();
+  const auto batch = [](Rig& rig) {
+    for (int i = 0; i < kPortBatch; ++i) {
+      auto p = net::make_packet();
+      p->size = 1500;
+      rig.port->enqueue(std::move(p), 0);
+    }
+    rig.sim.run();
+  };
+  return measure_pair(
+      "port_pipeline_timeseries_off", "port_pipeline_timeseries_on",
+      kPortBatch, [&] { batch(*off); },
       [&] {
-        if (series) series->start(s);  // sampler stops when the sim drains
-        for (int i = 0; i < kPortBatch; ++i) {
-          auto p = net::make_packet();
-          p->size = 1500;
-          port.enqueue(std::move(p), 0);
-        }
-        s.run();
+        series.start(on->sim);  // the sampler stops when the sim drains
+        batch(*on);
       },
       min_secs);
 }
@@ -576,10 +651,9 @@ int main(int argc, char** argv) {
       bench_port_pipeline("port_pipeline_obs_off", false, min_secs));
   results.push_back(
       bench_port_pipeline("port_pipeline_obs_on", true, min_secs));
-  results.push_back(
-      bench_port_timeseries("port_pipeline_timeseries_off", false, min_secs));
-  results.push_back(
-      bench_port_timeseries("port_pipeline_timeseries_on", true, min_secs));
+  const PairResult series = bench_port_timeseries(min_secs);
+  results.push_back(series.a);
+  results.push_back(series.b);
   results.push_back(bench_sampler_tick(min_secs));
 
   {
@@ -645,14 +719,9 @@ int main(int argc, char** argv) {
                 (port_off->ops_per_sec() / port_on->ops_per_sec() - 1.0) *
                     100.0);
   }
-  const auto* ts_off = find("port_pipeline_timeseries_off");
-  const auto* ts_on = find("port_pipeline_timeseries_on");
-  double timeseries_overhead = 0.0;
-  if (ts_off && ts_on && ts_on->ops_per_sec() > 0) {
-    timeseries_overhead = ts_off->ops_per_sec() / ts_on->ops_per_sec() - 1.0;
-    std::printf("port path time-series overhead (sampler on vs off):   %.1f%%\n",
-                timeseries_overhead * 100.0);
-  }
+  const double timeseries_overhead = series.slowdown - 1.0;
+  std::printf("port path time-series overhead (sampler on vs off):   %.1f%%\n",
+              timeseries_overhead * 100.0);
   if (const auto* tick = find("sampler_tick");
       tick != nullptr && tick->ops_per_sec() > 0) {
     std::printf("sampler tick cost per channel-sample:                 %.1f ns\n",
@@ -688,10 +757,10 @@ int main(int argc, char** argv) {
     // Enabled-sampler acceptance: per-dequeue channel accumulation plus the
     // amortized tick events must cost <= 5% of the bare port pipeline. The
     // pair shares one driver and differs only in the installed scope, so
-    // the ratio isolates the sampler (same reasoning as the event gate).
+    // the ratio isolates the sampler (same reasoning as the event gate),
+    // and its calls alternate, so host drift cannot move it.
     constexpr double kTimeSeriesOverheadGate = 0.05;
-    if (ts_off != nullptr && ts_on != nullptr &&
-        timeseries_overhead > kTimeSeriesOverheadGate) {
+    if (timeseries_overhead > kTimeSeriesOverheadGate) {
       std::fprintf(stderr,
                    "GATE FAILED: time-series sampler overhead %.1f%% > "
                    "%.0f%%\n",

@@ -1,5 +1,7 @@
 #include "core/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -11,28 +13,16 @@
 namespace tcn::core {
 namespace {
 
-std::uint64_t to_u64(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const auto n = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + ": expected an integer, got '" + v +
-                                "'");
+/// `value` in units of `unit` nanoseconds as a sim::Time; a product the
+/// conversion cannot represent is an error, not undefined behaviour.
+sim::Time parse_time(const std::string& flag, const std::string& value,
+                     sim::Time unit) {
+  const double ns = parse_double(flag, value) * static_cast<double>(unit);
+  constexpr auto kLimit = static_cast<double>(sim::kTimeMax);
+  if (!(ns > -kLimit && ns < kLimit)) {
+    throw std::invalid_argument(flag + ": '" + value + "' is out of range");
   }
-}
-
-double to_double(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return d;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + ": expected a number, got '" + v +
-                                "'");
-  }
+  return static_cast<sim::Time>(ns);
 }
 
 std::vector<std::string> split(const std::string& list) {
@@ -46,6 +36,28 @@ std::vector<std::string> split(const std::string& list) {
 }
 
 }  // namespace
+
+std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
+  std::uint64_t n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(
+        flag + ": expected a non-negative integer, got '" + value + "'");
+  }
+  return n;
+}
+
+double parse_double(const std::string& flag, const std::string& value) {
+  double d = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, d);
+  if (ec != std::errc() || ptr != end || !std::isfinite(d)) {
+    throw std::invalid_argument(flag + ": expected a finite number, got '" +
+                                value + "'");
+  }
+  return d;
+}
 
 Scheme parse_scheme(const std::string& name) {
   if (name == "tcn") return Scheme::kTcn;
@@ -87,7 +99,7 @@ void parse_sched_spec(const std::string& spec, SchedConfig& sched) {
   const std::string params = spec.substr(colon + 1);
   if (sched.kind == SchedKind::kSpPifo) {
     // sp-pifo:<levels> -- the number of strict-priority levels.
-    sched.sp_pifo_levels = to_u64("--sched sp-pifo:<levels>", params);
+    sched.sp_pifo_levels = parse_u64("--sched sp-pifo:<levels>", params);
     if (sched.sp_pifo_levels < 2) {
       throw std::invalid_argument("--sched sp-pifo: levels must be >= 2");
     }
@@ -99,11 +111,11 @@ void parse_sched_spec(const std::string& spec, SchedConfig& sched) {
           "--sched aifo: expected aifo:<window>,<k>");
     }
     sched.aifo_window =
-        to_u64("--sched aifo:<window>", params.substr(0, comma));
+        parse_u64("--sched aifo:<window>", params.substr(0, comma));
     if (sched.aifo_window < 1) {
       throw std::invalid_argument("--sched aifo: window must be >= 1");
     }
-    sched.aifo_k = to_double("--sched aifo:<k>", params.substr(comma + 1));
+    sched.aifo_k = parse_double("--sched aifo:<k>", params.substr(comma + 1));
     if (!(sched.aifo_k >= 0.0 && sched.aifo_k < 1.0)) {
       throw std::invalid_argument("--sched aifo: k must be in [0, 1)");
     }
@@ -278,24 +290,23 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
         throw std::invalid_argument("--topology: star or leafspine");
       }
     } else if (flag == "--hosts") {
-      cfg.star.num_hosts = to_u64(flag, value());
+      cfg.star.num_hosts = parse_u64(flag, value());
     } else if (flag == "--scheme") {
       cfg.scheme = parse_scheme(value());
     } else if (flag == "--sched") {
       parse_sched_spec(value(), cfg.sched);
     } else if (flag == "--rtt-lambda-us") {
-      cfg.params.rtt_lambda =
-          static_cast<sim::Time>(to_double(flag, value()) * sim::kMicrosecond);
+      cfg.params.rtt_lambda = parse_time(flag, value(), sim::kMicrosecond);
       rtt_lambda_set = true;
     } else if (flag == "--red-k-bytes") {
-      cfg.params.red_threshold_bytes = to_u64(flag, value());
+      cfg.params.red_threshold_bytes = parse_u64(flag, value());
       red_k_set = true;
     } else if (flag == "--load") {
-      cfg.load = to_double(flag, value());
+      cfg.load = parse_double(flag, value());
     } else if (flag == "--flows") {
-      cfg.num_flows = to_u64(flag, value());
+      cfg.num_flows = parse_u64(flag, value());
     } else if (flag == "--services") {
-      cfg.num_services = static_cast<std::uint32_t>(to_u64(flag, value()));
+      cfg.num_services = static_cast<std::uint32_t>(parse_u64(flag, value()));
       services_set = true;
     } else if (flag == "--workload") {
       cfg.service_workloads.clear();
@@ -328,8 +339,7 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--delayed-ack") {
       cfg.tcp.delayed_ack = true;
     } else if (flag == "--rto-min-us") {
-      cfg.tcp.rto_min =
-          static_cast<sim::Time>(to_double(flag, value()) * sim::kMicrosecond);
+      cfg.tcp.rto_min = parse_time(flag, value(), sim::kMicrosecond);
       cfg.tcp.rto_init = cfg.tcp.rto_min;
       rto_set = true;
     } else if (flag == "--faults") {
@@ -342,23 +352,21 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
       cfg.check_invariants = true;
       cfg.fail_on_invariant = true;
     } else if (flag == "--wall-budget-ms") {
-      cfg.wall_budget_ms = to_double(flag, value());
+      cfg.wall_budget_ms = parse_double(flag, value());
       if (cfg.wall_budget_ms <= 0) {
         throw std::invalid_argument("--wall-budget-ms: must be positive");
       }
     } else if (flag == "--event-budget") {
-      cfg.event_budget = to_u64(flag, value());
+      cfg.event_budget = parse_u64(flag, value());
     } else if (flag == "--sim-time-budget-s") {
-      cfg.sim_time_budget =
-          static_cast<sim::Time>(to_double(flag, value()) * sim::kSecond);
+      cfg.sim_time_budget = parse_time(flag, value(), sim::kSecond);
       if (cfg.sim_time_budget <= 0) {
         throw std::invalid_argument("--sim-time-budget-s: must be positive");
       }
     } else if (flag == "--pending-budget") {
-      cfg.pending_event_budget = to_u64(flag, value());
+      cfg.pending_event_budget = parse_u64(flag, value());
     } else if (flag == "--time-limit-s") {
-      time_limit = static_cast<sim::Time>(to_double(flag, value()) *
-                                          sim::kSecond);
+      time_limit = parse_time(flag, value(), sim::kSecond);
       if (time_limit <= 0) {
         throw std::invalid_argument("--time-limit-s: must be positive");
       }
@@ -373,13 +381,12 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
         throw std::invalid_argument("--trace-out: empty path");
       }
     } else if (flag == "--sample-interval-us") {
-      cfg.timeseries.interval =
-          static_cast<sim::Time>(to_double(flag, value()) * sim::kMicrosecond);
+      cfg.timeseries.interval = parse_time(flag, value(), sim::kMicrosecond);
       if (cfg.timeseries.interval <= 0) {
         throw std::invalid_argument("--sample-interval-us: must be positive");
       }
     } else if (flag == "--sample-ring") {
-      cfg.timeseries.max_samples = to_u64(flag, value());
+      cfg.timeseries.max_samples = parse_u64(flag, value());
       if (cfg.timeseries.max_samples == 0) {
         throw std::invalid_argument("--sample-ring: must be positive");
       }
@@ -389,7 +396,7 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
         throw std::invalid_argument("--series-out: empty path");
       }
     } else if (flag == "--seed") {
-      cfg.seed = to_u64(flag, value());
+      cfg.seed = parse_u64(flag, value());
     } else {
       throw std::invalid_argument("unknown flag '" + flag +
                                   "' (see --help)");

@@ -46,143 +46,182 @@ void BinaryHeapQueue::sift_down(std::size_t i) {
 // ---------------------------------------------------------------- calendar --
 
 CalendarQueue::CalendarQueue()
-    : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
+    : heads_(kMinBuckets, kNil),
+      occupied_(kMinBuckets / 64, 0),
+      bucket_mask_(kMinBuckets - 1) {}
+
+void CalendarQueue::grow_pool() {
+  nodes_.push_back(Node{EventEntry{}, free_});
+  free_ = static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+void CalendarQueue::note_overflow_top() noexcept {
+  overflow_top_vb_ =
+      overflow_.empty() ? kNoOverflow : vbucket(overflow_.front().at);
+}
 
 void CalendarQueue::place(const EventEntry& e) {
   const std::uint64_t vb = vbucket(e.at);
   if (vb >= horizon_vb()) {
     overflow_.push_back(e);
     std::push_heap(overflow_.begin(), overflow_.end(), entry_after);
+    note_overflow_top();
     return;
   }
-  std::vector<EventEntry>& b = buckets_[vb & bucket_mask_];
-  if (dial_sorted_ && vb == dial_vb_) {
-    // The dial already sorted this bucket (descending); keep the invariant
-    // so in-progress draining stays a pop_back. Same-time self-reschedules
-    // land at the back (seq is larger), so the common case is O(1).
-    b.insert(std::upper_bound(b.begin(), b.end(), e, entry_after), e);
-  } else {
-    b.push_back(e);
-  }
+  link(vb, e);
   ++bucketed_;
 }
 
-void CalendarQueue::migrate_overflow() {
-  const std::uint64_t horizon = horizon_vb();
-  while (!overflow_.empty() && vbucket(overflow_.front().at) < horizon) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), entry_after);
-    const EventEntry e = overflow_.back();
-    overflow_.pop_back();
-    place(e);
-  }
-}
-
-void CalendarQueue::push(const EventEntry& e) {
+void CalendarQueue::push_slow(const EventEntry& e) {
+  const std::uint64_t vb = vbucket(e.at);
   if (size_ == 0) {
     // Empty queue: re-base the dial on the new entry, O(1).
-    dial_vb_ = vbucket(e.at);
-    dial_sorted_ = false;
-  } else if (vbucket(e.at) < dial_vb_) {
+    dial_vb_ = vb;
+  } else if (vb < dial_vb_) {
     // Behind a settled dial. Only possible after run(until) returned with
     // later events still pending and the caller then scheduled an earlier
     // one; rebuild with the dial rewound so the one-day invariant holds.
     ++size_;
-    place(e);  // may briefly violate the horizon; rebuild fixes everything
-    rebuild(buckets_.size(), shift_);
+    rebuild(num_buckets(), shift_, &e);
     return;
   }
   ++size_;
-  place(e);
-  if (bucketed_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
+  if (vb == dial_vb_) {
+    // The dial bucket drains from current_ (descending); keep it sorted so
+    // popping stays a pop_back. Same-time self-reschedules land near the
+    // back (seq is larger), so the common case moves few entries.
+    current_.insert(
+        std::upper_bound(current_.begin(), current_.end(), e, entry_after), e);
+    ++bucketed_;
+  } else {
+    place(e);
+  }
+  if (bucketed_ > 2 * num_buckets() && num_buckets() < kMaxBuckets) {
     resize_to_fit();
   }
 }
 
-const EventEntry* CalendarQueue::peek() {
-  if (size_ == 0) return nullptr;
+std::uint64_t CalendarQueue::next_occupied_vb() const noexcept {
+  const std::size_t last_word = occupied_.size() - 1;  // size is a power of 2
+  const std::size_t from = dial_vb_ & bucket_mask_;
+  std::size_t w = from >> 6;
+  // Bits at or after the dial in its own word first; the dial's own bit is
+  // always clear (its entries live in current_). A wrap that comes back to
+  // this word reads it whole, finding buckets before the dial.
+  std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  while (word == 0) {
+    w = (w + 1) & last_word;
+    word = occupied_[w];
+  }
+  const std::size_t found = (w << 6) | std::countr_zero(word);
+  return dial_vb_ + ((found - from) & bucket_mask_);
+}
+
+void CalendarQueue::load_dial() {
+  const std::size_t b = dial_vb_ & bucket_mask_;
+  std::uint32_t n = heads_[b];
+  assert(n != kNil);  // every caller moved the dial onto an occupied bucket
+  // Copy the list out and splice its cells onto the free list whole.
   for (;;) {
-    if (bucketed_ == 0) {
-      // Everything lives in the overflow rung: jump the dial to its top
-      // instead of sweeping empty days. (Top vb >= old horizon > dial, so
-      // the dial never moves backward here.)
-      dial_vb_ = vbucket(overflow_.front().at);
-      dial_sorted_ = false;
-      migrate_overflow();
-      continue;
-    }
-    std::vector<EventEntry>& b = buckets_[dial_vb_ & bucket_mask_];
-    if (!b.empty()) {
-      if (!dial_sorted_) {
-        std::sort(b.begin(), b.end(), entry_after);
-        dial_sorted_ = true;
-      }
-      return &b.back();
-    }
-    ++dial_vb_;
-    dial_sorted_ = false;
-    migrate_overflow();  // horizon advanced one bucket
+    current_.push_back(nodes_[n].entry);
+    if (nodes_[n].next == kNil) break;
+    n = nodes_[n].next;
+  }
+  nodes_[n].next = free_;
+  free_ = heads_[b];
+  heads_[b] = kNil;
+  occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  std::sort(current_.begin(), current_.end(), entry_after);
+}
+
+void CalendarQueue::migrate_overflow() {
+  const std::uint64_t horizon = horizon_vb();
+  while (overflow_top_vb_ < horizon) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), entry_after);
+    link(overflow_top_vb_, overflow_.back());
+    overflow_.pop_back();
+    ++bucketed_;
+    note_overflow_top();
   }
 }
 
-EventEntry CalendarQueue::pop() {
-  const EventEntry* top = peek();
-  assert(top != nullptr);
-  const EventEntry e = *top;
-  buckets_[dial_vb_ & bucket_mask_].pop_back();
-  --bucketed_;
-  --size_;
-  return e;
+const EventEntry* CalendarQueue::settle() {
+  if (size_ == 0) return nullptr;
+  // Everything in the overflow rung: jump the dial to its top instead of
+  // sweeping empty days (top vb >= old horizon > dial, so the dial never
+  // moves backward). Otherwise jump to the next occupied bucket; the
+  // overflow entries that jump admits land in buckets the dial just passed
+  // (see the class comment), so one migration after the jump is exact.
+  dial_vb_ = bucketed_ == 0 ? overflow_top_vb_ : next_occupied_vb();
+  if (overflow_top_vb_ < horizon_vb()) migrate_overflow();
+  load_dial();
+  assert(!current_.empty());
+  return &current_.back();
 }
 
-void CalendarQueue::rebuild(std::size_t new_buckets, int new_shift) {
+template <typename F>
+void CalendarQueue::for_each_listed(F&& f) const {
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    for (std::uint64_t word = occupied_[w]; word != 0; word &= word - 1) {
+      const std::size_t b = (w << 6) | std::countr_zero(word);
+      for (std::uint32_t n = heads_[b]; n != kNil; n = nodes_[n].next) {
+        f(nodes_[n].entry);
+      }
+    }
+  }
+}
+
+void CalendarQueue::rebuild(std::size_t new_buckets, int new_shift,
+                            const EventEntry* extra) {
   std::vector<EventEntry> all;
   all.reserve(size_);
-  for (std::vector<EventEntry>& b : buckets_) {
-    all.insert(all.end(), b.begin(), b.end());
-    b.clear();
-  }
+  all.insert(all.end(), current_.begin(), current_.end());
+  for_each_listed([&](const EventEntry& e) { all.push_back(e); });
   all.insert(all.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
+  if (extra != nullptr) all.push_back(*extra);
   assert(all.size() == size_);
 
-  if (new_buckets != buckets_.size()) {
-    buckets_.assign(new_buckets, {});
-    bucket_mask_ = new_buckets - 1;
-  }
+  current_.clear();
+  overflow_.clear();
+  nodes_.clear();  // every cell is re-linked below; capacity is kept
+  free_ = kNil;
+  heads_.assign(new_buckets, kNil);
+  occupied_.assign(new_buckets / 64, 0);
+  bucket_mask_ = new_buckets - 1;
   shift_ = new_shift;
   bucketed_ = 0;
-  dial_sorted_ = false;
+  overflow_top_vb_ = kNoOverflow;
   Time min_at = kTimeMax;
   for (const EventEntry& e : all) min_at = std::min(min_at, e.at);
   dial_vb_ = all.empty() ? 0 : vbucket(min_at);
   for (const EventEntry& e : all) place(e);
+  load_dial();
   ++resizes_;
 }
 
 void CalendarQueue::resize_to_fit() {
   // Bucket count ~ near-future population (so occupancy stays O(1) per
   // bucket); width ~ the mean inter-event gap of the BUCKETED entries only
-  // -- far-future outliers (RTOs, diurnal ramps) live in the overflow rung
-  // and must not stretch the ring's width. The ring only ever grows (the
-  // same plateau-at-peak discipline as the slot pool and the old heap
-  // vector), so repeated drain/refill cycles resize once and then run
-  // allocation-free. Everything here is a function of queue content only:
-  // deterministic.
+  // (the dial bucket included) -- far-future outliers (RTOs, diurnal
+  // ramps) live in the overflow rung and must not stretch the ring's width.
+  // The ring only ever grows (the same plateau-at-peak discipline as the
+  // slot pool and the node pool), so repeated drain/refill cycles resize
+  // once and then run allocation-free. Everything here is a function of
+  // queue content only: deterministic.
   const std::size_t want = std::clamp(2 * bucketed_, kMinBuckets, kMaxBuckets);
-  const std::size_t new_buckets = std::max(std::bit_ceil(want), buckets_.size());
+  const std::size_t new_buckets = std::max(std::bit_ceil(want), num_buckets());
 
   Time min_at = kTimeMax;
   Time max_at = 0;
-  std::size_t n = 0;
-  for (const std::vector<EventEntry>& b : buckets_) {
-    for (const EventEntry& e : b) {
-      min_at = std::min(min_at, e.at);
-      max_at = std::max(max_at, e.at);
-      ++n;
-    }
-  }
+  const auto extend = [&](const EventEntry& e) {
+    min_at = std::min(min_at, e.at);
+    max_at = std::max(max_at, e.at);
+  };
+  for (const EventEntry& e : current_) extend(e);
+  for_each_listed(extend);
 
   int new_shift = shift_;
+  const std::size_t n = bucketed_;
   if (n > 1 && max_at > min_at) {
     const std::uint64_t gap =
         static_cast<std::uint64_t>(max_at - min_at) / (n - 1);

@@ -14,8 +14,11 @@
 // trivial structs instead of relocating 64-byte callables; a callback is
 // constructed once, directly into its slot, and invoked in place -- zero
 // relocations over its whole lifetime. Steady state performs no heap
-// allocations at all: the calendar ring, slot blocks and free list all
-// plateau at the peak pending-event count.
+// allocations at all: the slot blocks and free list plateau at the peak
+// pending-event count, and so does the calendar queue. Its buckets are
+// lists over one node pool, so each of its arrays (node pool, dial bucket,
+// overflow rung) is bounded by the peak pending count, plus a 4-byte head
+// per bucket -- not by every bucket's own largest-ever burst.
 //
 // Cancellation is O(1) via slot generations: an EventId encodes (slot,
 // generation); cancel() compares the ticket against the slot's current

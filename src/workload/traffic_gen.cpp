@@ -31,7 +31,7 @@ ConvergeGenerator::ConvergeGenerator(sim::Simulator& sim, FlowLauncher launch,
       !spec_fn_ || !launch_) {
     throw std::invalid_argument("ConvergeGenerator: incomplete setup");
   }
-  if (cfg_.load <= 0.0 || cfg_.load > 1.0) {
+  if (!(cfg_.load > 0.0 && cfg_.load <= 1.0)) {
     throw std::invalid_argument("ConvergeGenerator: load out of (0,1]");
   }
   // load x receiver link rate = mean bytes/sec of offered traffic.
@@ -77,7 +77,7 @@ AllToAllGenerator::AllToAllGenerator(sim::Simulator& sim, FlowLauncher launch,
       !launch_) {
     throw std::invalid_argument("AllToAllGenerator: incomplete setup");
   }
-  if (cfg_.load <= 0.0 || cfg_.load > 1.0) {
+  if (!(cfg_.load > 0.0 && cfg_.load <= 1.0)) {
     throw std::invalid_argument("AllToAllGenerator: load out of (0,1]");
   }
   for (const auto* d : dists_) {

@@ -156,6 +156,56 @@ TEST(Cli, Errors) {
   EXPECT_THROW(parse({"--workload", ""}), std::invalid_argument);
 }
 
+// A numeric flag value is the whole token or an error naming the flag:
+// std::stoull read "-5" as 2^64 - 5 (so --flows -5 and --hosts -1 hung and
+// --event-budget -1 meant unlimited), std::stod took "nan" (which passes
+// a `load <= 0 || load > 1` guard), and a NaN or huge time value made the
+// cast to sim::Time undefined.
+TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
+  const auto expect_rejected = [](const char* flag, const char* value) {
+    try {
+      parse({flag, value});
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << flag << " " << value << ": " << e.what();
+    }
+  };
+  for (const char* flag : {"--flows", "--hosts", "--event-budget",
+                           "--pending-budget", "--seed", "--red-k-bytes"}) {
+    for (const char* value : {"-5", "-1", "+3", " 7", "7 ", "0x10", "",
+                              "18446744073709551616"}) {
+      expect_rejected(flag, value);
+    }
+  }
+  for (const char* flag : {"--load", "--rtt-lambda-us", "--rto-min-us",
+                           "--wall-budget-ms", "--sample-interval-us",
+                           "--time-limit-s", "--sim-time-budget-s"}) {
+    for (const char* value : {"nan", "NaN", "inf", "-inf", "infinity",
+                              "0.5x", " 0.5", "1e400"}) {
+      expect_rejected(flag, value);
+    }
+  }
+  // Finite but beyond what a nanosecond sim::Time can hold.
+  expect_rejected("--rtt-lambda-us", "1e300");
+  expect_rejected("--time-limit-s", "1e10");
+  // The shared helpers behind tcnsim's own flags (--loads, --seeds, --jobs).
+  EXPECT_THROW(parse_double("--loads", "abc"), std::invalid_argument);
+  EXPECT_THROW(parse_double("--loads", "0.5x"), std::invalid_argument);
+  EXPECT_THROW(parse_u64("--jobs", "-2"), std::invalid_argument);
+  EXPECT_EQ(parse_double("--loads", "0.25"), 0.25);
+  EXPECT_EQ(parse_double("--loads", "1e-1"), 0.1);
+  EXPECT_EQ(parse_u64("--seeds", "18446744073709551615"),
+            18'446'744'073'709'551'615u);
+  // Well-formed values still parse exactly as before.
+  const auto cfg = parse({"--flows", "0", "--load", "0.3", "--rtt-lambda-us",
+                          "12.5", "--time-limit-s", "9e9"});
+  EXPECT_EQ(cfg.num_flows, 0u);
+  EXPECT_EQ(cfg.load, 0.3);
+  EXPECT_EQ(cfg.params.rtt_lambda, 12'500);
+  EXPECT_EQ(cfg.time_limit, 9'000'000'000 * sim::kSecond);
+}
+
 TEST(Cli, UsageMentionsEveryFlag) {
   const auto usage = cli_usage();
   for (const char* flag :

@@ -2,6 +2,7 @@
 // Poisson generators (arrival rate, offered load, service partitioning).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -180,15 +181,20 @@ TEST(ConvergeGenerator, MeanGapMatchesLoad) {
 TEST(ConvergeGenerator, RejectsBadLoad) {
   GenRig rig;
   GenConfig cfg;
-  cfg.load = 0.0;
   std::vector<net::Host*> senders{&rig.network->host(1)};
-  EXPECT_THROW(
-      ConvergeGenerator(rig.simulator, rig.launch, senders, &rig.network->host(0),
-                        &distribution(Kind::kWebSearch), cfg,
-                        [](std::uint32_t, std::uint64_t) {
-                          return transport::FlowSpec{};
-                        }),
-      std::invalid_argument);
+  // NaN compares false both ways, so it must fail the guard, not pass it.
+  for (const double load : {0.0, -0.5, 1.5, std::nan("")}) {
+    cfg.load = load;
+    EXPECT_THROW(
+        ConvergeGenerator(rig.simulator, rig.launch, senders,
+                          &rig.network->host(0),
+                          &distribution(Kind::kWebSearch), cfg,
+                          [](std::uint32_t, std::uint64_t) {
+                            return transport::FlowSpec{};
+                          }),
+        std::invalid_argument)
+        << "load " << load;
+  }
 }
 
 TEST(AllToAllGenerator, PartitionsPairsIntoServices) {
@@ -215,6 +221,20 @@ TEST(AllToAllGenerator, PartitionsPairsIntoServices) {
   rig.simulator.run();
   EXPECT_EQ(gen.flows_generated(), 300u);
   EXPECT_GE(service_counts.size(), 6u);  // all services materialize
+}
+
+TEST(AllToAllGenerator, RejectsNanLoad) {
+  GenRig rig;
+  GenConfig cfg;
+  cfg.load = std::nan("");
+  const std::vector<const sim::Ecdf*> dists{&distribution(Kind::kCache)};
+  EXPECT_THROW(AllToAllGenerator(
+                   rig.simulator, rig.launch, rig.network->host_ptrs(), dists,
+                   cfg, [](std::size_t, std::size_t) { return 0u; },
+                   [](std::uint32_t, std::uint64_t) {
+                     return transport::FlowSpec{};
+                   }),
+               std::invalid_argument);
 }
 
 TEST(AllToAllGenerator, NeverPicksSelfFlow) {

@@ -25,18 +25,6 @@
 
 namespace {
 
-std::uint64_t to_u64(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const auto n = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + ": expected an integer, got '" + v +
-                                "'");
-  }
-}
-
 std::vector<std::string> split_list(const std::string& list) {
   std::vector<std::string> out;
   std::string token;
@@ -84,17 +72,17 @@ int main(int argc, char** argv) {
         return args[++i];
       };
       if (flag == "--jobs") {
-        jobs = to_u64(flag, value());
+        jobs = tcn::core::parse_u64(flag, value());
       } else if (flag == "--json") {
         json_path = value();
       } else if (flag == "--loads") {
         for (const auto& t : split_list(value())) {
-          loads.push_back(std::strtod(t.c_str(), nullptr));
+          loads.push_back(tcn::core::parse_double(flag, t));
         }
         if (loads.empty()) throw std::invalid_argument("--loads: empty list");
       } else if (flag == "--seeds") {
         for (const auto& t : split_list(value())) {
-          seeds.push_back(to_u64(flag, t));
+          seeds.push_back(tcn::core::parse_u64(flag, t));
         }
         if (seeds.empty()) throw std::invalid_argument("--seeds: empty list");
       } else if (flag == "--fault-grid") {
@@ -105,7 +93,7 @@ int main(int argc, char** argv) {
         opt.failure_policy = tcn::runner::failure_policy_from_name(value());
         on_failure_set = true;
       } else if (flag == "--retries") {
-        opt.retry.max_attempts = to_u64(flag, value());
+        opt.retry.max_attempts = tcn::core::parse_u64(flag, value());
         if (opt.retry.max_attempts == 0) {
           throw std::invalid_argument("--retries: must be >= 1");
         }
