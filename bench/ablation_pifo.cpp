@@ -12,7 +12,7 @@ using namespace tcn;
 int main(int argc, char** argv) {
   bench::Args defaults;
   defaults.flows = 400;
-  defaults.loads = {0.5, 0.8};
+  defaults.sweep.loads = {0.5, 0.8};
   const auto args = bench::Args::parse(argc, argv, defaults);
 
   auto base = bench::testbed_base();

@@ -16,9 +16,9 @@ using namespace tcn;
 int main(int argc, char** argv) {
   bench::Args defaults;
   defaults.flows = 400;
-  defaults.loads = {0.7};
+  defaults.sweep.loads = {0.7};
   const auto args = bench::Args::parse(argc, argv, defaults);
-  const double load = args.loads[0];
+  const double load = args.sweep.loads[0];
 
   const std::vector<sim::Time> thresholds_us = {64, 128, 256, 512, 1024};
   std::vector<runner::Job> jobs;
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
     jobs.push_back(std::move(j));
   }
 
-  const auto res = runner::run_jobs(std::move(jobs), bench::sweep_options(args));
+  const auto res =
+      bench::run_jobs(std::move(jobs), args, "ablation_tcn_threshold");
   if (!res.ok()) {
     std::fprintf(stderr, "ablation_tcn_threshold: %zu run(s) failed\n",
                  res.failed);
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
               "suffers when T is far below the base RTT\n(premature marks "
               "throttle throughput). T ~= RTT x lambda (256us here) balances "
               "both -- the paper's setting.\n");
-  if (!args.json.empty()) {
-    runner::write_json_file(res, "ablation_tcn_threshold", args.json);
+  if (!args.sweep.json.empty()) {
+    runner::write_json_file(res, "ablation_tcn_threshold", args.sweep.json);
   }
   return 0;
 }

@@ -17,10 +17,13 @@
 #pragma once
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/cli.hpp"
 #include "obs/export.hpp"
 
 namespace tcn::bench {
@@ -54,6 +57,71 @@ inline AtlasAxes default_atlas_axes() {
   a.thresholds_us = {64, 256, 1024};
   a.loads = {0.5, 0.7, 0.9};
   a.buffer_bytes = {24'000, 48'000, 96'000};
+  return a;
+}
+
+/// bench/atlas's command line: the axis flags, --flows/--seed/
+/// --sample-interval-us and the shared sweep rows, whose --loads is the
+/// load axis. Atlas takes no fault or traffic grid.
+struct AtlasArgs {
+  AtlasAxes axes = default_atlas_axes();
+  double interval_us = 100.0;
+  std::size_t flows = 500;
+  std::uint64_t seed = 1;
+  runner::SweepFlags sweep;
+
+  AtlasArgs() { sweep.loads = axes.loads; }
+};
+
+inline runner::FlagTable atlas_flags(AtlasArgs& a) {
+  // A positive microsecond value a sim::Time can hold.
+  const auto micros = [](const std::string& flag, const std::string& v) {
+    const double us = sim::parse_double(flag, v);
+    if (!(us > 0)) throw std::invalid_argument(flag + ": must be > 0");
+    sim::to_time(flag, us, sim::kMicrosecond);
+    return us;
+  };
+  const auto scheme = [](const std::string&, const std::string& name) {
+    return SchemeRun{name, core::parse_scheme(name)};
+  };
+  const auto sched = [](const std::string&, const std::string& name) {
+    return std::pair{name, core::parse_sched(name)};
+  };
+  runner::FlagTable table;
+  table.push_back({"--schemes", "s1,s2,...",
+                   "AQMs: tcn tcn-prob codel mq-ecn red red-port\n"
+                   "red-dequeue pie ideal-rate none\n"
+                   "(default tcn,codel,red,pie)",
+                   runner::list_setter(a.axes.schemes, scheme)});
+  table.push_back({"--scheds", "s1,s2,...",
+                   "schedulers: fifo sp dwrr wrr wfq sp-dwrr sp-wfq\n"
+                   "pifo sp-pifo aifo (default dwrr,wfq,sp-pifo,aifo)",
+                   runner::list_setter(a.axes.scheds, sched)});
+  table.push_back({"--thresholds-us", "t1,t2,...",
+                   "marking threshold axis T in us; every AQM gets\n"
+                   "T mapped to its native knob (default 64,256,1024)",
+                   runner::list_setter(a.axes.thresholds_us, micros)});
+  table.push_back({"--buffers", "b1,b2,...",
+                   "per-port buffer bytes axis\n(default 24000,48000,96000)",
+                   runner::list_setter(a.axes.buffer_bytes, sim::parse_u64)});
+  table.push_back({"--sample-interval-us", "F",
+                   "time-series sampling interval (default 100)",
+                   [&a, micros](const std::string& flag, const std::string& v) {
+                     a.interval_us = micros(flag, v);
+                   }});
+  table.push_back({"--flows", "N", "flows per cell (default 500)",
+                   runner::number_setter(a.flows)});
+  table.push_back({"--seed", "S", "base RNG seed (default 1)",
+                   runner::number_setter(a.seed)});
+  runner::add_sweep_flags(table, a.sweep);
+  return table;
+}
+
+/// Parses argv[1..]; throws std::invalid_argument naming the flag.
+inline AtlasArgs parse_atlas_args(const std::vector<std::string>& args) {
+  AtlasArgs a;
+  runner::parse_flags(atlas_flags(a), args);
+  a.axes.loads = a.sweep.loads;
   return a;
 }
 

@@ -1,5 +1,5 @@
-// Shared helpers for the figure-reproduction benches: the one CLI parser
-// every fig*/ablation* binary uses, and the normalized-FCT table printer
+// Shared helpers for the figure-reproduction benches: the flag rows every
+// fig*/ablation* binary uses, and the normalized-FCT table printer
 // driven by the parallel sweep runner (src/runner). Every dynamic-workload
 // figure is a scheme x load grid of independent core::FctExperiment runs,
 // executed by runner::run_sweep across --jobs worker threads and aggregated
@@ -9,183 +9,108 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "fault/fault.hpp"
+#include "runner/flags.hpp"
 #include "runner/journal.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
-#include "traffic/spec.hpp"
 
 namespace tcn::bench {
 
 struct Args {
   std::size_t flows = 2000;
-  std::vector<double> loads = {0.3, 0.5, 0.7, 0.9};
   std::uint64_t seed = 1;
-  /// Worker threads for the sweep; 0 = one per hardware thread.
-  std::size_t jobs = 0;
-  /// Write structured results (schema tcn-bench-1) here; empty = no JSON,
-  /// "-" = stdout.
-  std::string json;
   /// Collect per-run metrics and write the merged tcn-metrics-1 document
   /// here; empty = observability off, "-" = stdout. Byte-identical for any
   /// --jobs (merge is by job index).
   std::string metrics_out;
-  /// Fault-axis cells (--fault-grid) crossed into every figure grid.
-  std::vector<std::pair<std::string, fault::FaultPlan>> fault_grid;
-  /// Traffic-axis cells (--traffic-grid) crossed into every figure grid;
-  /// "none" is the closed-loop baseline cell.
-  std::vector<std::pair<std::string, traffic::TrafficSpec>> traffic_grid;
-  /// What a failed run does to the sweep (--on-failure).
-  runner::FailurePolicy on_failure = runner::FailurePolicy::kCancelAll;
-  /// Max attempts per job; nonzero implies the retry policy (--retries).
-  std::size_t retries = 0;
-  /// tcn-journal-1 checkpoint path (--journal); empty = no journal.
-  std::string journal;
-  /// Journal to restore completed runs from (--resume); extends it in place
-  /// unless --journal names a different file.
-  std::string resume;
+  /// The shared sweep flags (runner/flags.hpp); --jobs 0 = one worker per
+  /// hardware thread.
+  runner::SweepFlags sweep;
 
-  static Args parse(int argc, char** argv, const Args& defaults) {
-    Args a = defaults;
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      try {
-        if (flag == "--flows") {
-          a.flows = std::strtoull(next(), nullptr, 10);
-        } else if (flag == "--seed") {
-          a.seed = std::strtoull(next(), nullptr, 10);
-        } else if (flag == "--jobs") {
-          a.jobs = std::strtoull(next(), nullptr, 10);
-        } else if (flag == "--json") {
-          a.json = next();
-        } else if (flag == "--metrics-out") {
-          a.metrics_out = next();
-        } else if (flag == "--fault-grid") {
-          a.fault_grid = fault::parse_fault_grid(next());
-        } else if (flag == "--traffic-grid") {
-          a.traffic_grid = traffic::parse_traffic_grid(next());
-        } else if (flag == "--on-failure") {
-          a.on_failure = runner::failure_policy_from_name(next());
-        } else if (flag == "--retries") {
-          a.retries = std::strtoull(next(), nullptr, 10);
-          if (a.retries == 0) {
-            std::fprintf(stderr, "--retries: must be >= 1\n");
-            std::exit(2);
-          }
-          a.on_failure = runner::FailurePolicy::kRetry;
-        } else if (flag == "--journal") {
-          a.journal = next();
-        } else if (flag == "--resume") {
-          a.resume = next();
-        } else if (flag == "--loads") {
-          a.loads.clear();
-          std::string list = next();
-          for (std::size_t pos = 0; pos < list.size();) {
-            const auto comma = list.find(',', pos);
-            const auto token = list.substr(pos, comma - pos);
-            a.loads.push_back(std::strtod(token.c_str(), nullptr));
-            if (comma == std::string::npos) break;
-            pos = comma + 1;
-          }
-        } else if (flag == "--help" || flag == "-h") {
-          std::printf(
-              "usage: %s [--flows N] [--loads l1,l2,...] [--seed S]\n"
-              "          [--jobs N] [--json PATH] [--metrics-out PATH]\n"
-              "          [--fault-grid c1|c2|...] [--traffic-grid "
-              "c1|c2|...]\n"
-              "          [--on-failure P]\n"
-              "          [--retries N] [--journal PATH] [--resume PATH]\n"
-              "  --jobs N    parallel sweep workers (0 = one per core; "
-              "output\n"
-              "              is byte-identical for any value)\n"
-              "  --json PATH write per-run structured results (tcn-bench-1)\n"
-              "  --metrics-out PATH\n"
-              "              collect per-run observability metrics and "
-              "write\n"
-              "              the merged tcn-metrics-1 snapshot\n"
-              "  --fault-grid c1|c2|...\n"
-              "              sweep a fault axis; each cell is a --faults "
-              "list\n"
-              "              (\"none\" = fault-free)\n"
-              "  --traffic-grid c1|c2|...\n"
-              "              sweep an open-loop traffic axis; each cell is "
-              "a\n"
-              "              --traffic spec (\"none\" = closed loop)\n"
-              "  --on-failure cancel_all|record_and_continue|retry\n"
-              "  --retries N max attempts per job (implies retry policy)\n"
-              "  --journal PATH\n"
-              "              append a tcn-journal-1 checkpoint per "
-              "completed\n"
-              "              run (fsync'd; survives kill -9)\n"
-              "  --resume PATH\n"
-              "              restore completed runs from a journal, run "
-              "the\n"
-              "              rest; output is byte-identical to an\n"
-              "              uninterrupted sweep\n",
-              argv[0]);
-          std::exit(0);
-        } else {
-          std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-          std::exit(2);
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", flag.c_str(), e.what());
-        std::exit(2);
-      }
-    }
-    return a;
-  }
+  Args() { sweep.loads = {0.3, 0.5, 0.7, 0.9}; }
+
+  /// The rows every fig*/ablation* binary and bench/suite accept, writing
+  /// into `a`.
+  static runner::FlagTable flags(Args& a);
+  /// Parses argv over `defaults`; prints --help and exits 0, or prints the
+  /// reject and exits 2.
+  static Args parse(int argc, char** argv, const Args& defaults);
 };
+
+inline runner::FlagTable Args::flags(Args& a) {
+  runner::FlagTable table;
+  table.push_back({"--flows", "N", "flows per run",
+                   runner::number_setter(a.flows)});
+  table.push_back({"--seed", "S", "base RNG seed",
+                   runner::number_setter(a.seed)});
+  runner::add_sweep_flags(table, a.sweep);
+  table.push_back({"--metrics-out", "PATH",
+                   "collect per-run observability metrics and write\n"
+                   "the merged tcn-metrics-1 snapshot (\"-\" = stdout)",
+                   runner::path_setter(a.metrics_out)});
+  runner::add_grid_flags(table, a.sweep);
+  return table;
+}
+
+inline Args Args::parse(int argc, char** argv, const Args& defaults) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  Args a = defaults;
+  const runner::FlagTable table = flags(a);
+  if (runner::wants_help(args)) {
+    std::printf("usage: %s [flags]\n%s", argv[0],
+                runner::flags_usage(table).c_str());
+    std::exit(0);
+  }
+  try {
+    runner::parse_flags(table, args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+  return a;
+}
 
 struct SchemeRun {
   std::string name;
   core::Scheme scheme;
 };
 
-/// Progress printer for SweepOptions::on_done (stderr, completion order --
-/// progress lines are the one output allowed to vary with --jobs).
-inline runner::SweepOptions sweep_options(const Args& args) {
-  runner::SweepOptions opt;
-  opt.jobs = args.jobs;
-  opt.failure_policy = args.on_failure;
-  if (args.retries > 0) opt.retry.max_attempts = args.retries;
-  opt.journal_out = args.journal;
-  // --resume with no --journal extends the same journal in place, so a
-  // sweep can be killed and resumed any number of times. Loading the
-  // journal itself is the caller's job (the JournalData must outlive the
-  // sweep).
-  if (!args.resume.empty() && opt.journal_out.empty()) {
-    opt.journal_out = args.resume;
-  }
-  opt.on_done = [](const runner::RunRecord& r) {
-    if (r.skipped) return;
-    if (!r.ok) {
-      std::fprintf(stderr, "  [%s load=%.0f%%] FAILED: %s\n",
+/// runner::run_jobs with the options `args` ask for and a progress printer
+/// (stderr, completion order -- progress lines are the one output allowed
+/// to vary with --jobs). Exits 2, naming `name`, when the sweep cannot
+/// start (an unreadable or mismatched --resume journal, say).
+inline runner::SweepResult run_jobs(std::vector<runner::Job> jobs,
+                                    const Args& args,
+                                    const std::string& name) {
+  runner::JournalData journal;
+  try {
+    runner::SweepOptions opt = runner::sweep_options(args.sweep, name, journal);
+    opt.on_done = [](const runner::RunRecord& r) {
+      if (r.skipped) return;
+      if (!r.ok) {
+        std::fprintf(stderr, "  [%s load=%.0f%%] FAILED: %s\n",
+                     r.job.label.c_str(), r.job.cfg.load * 100,
+                     r.error.c_str());
+        return;
+      }
+      std::fprintf(stderr,
+                   "  [%s load=%.0f%%] done (%zu/%zu flows, %.0f ms, "
+                   "%.2fM ev/s)\n",
                    r.job.label.c_str(), r.job.cfg.load * 100,
-                   r.error.c_str());
-      return;
-    }
-    std::fprintf(stderr,
-                 "  [%s load=%.0f%%] done (%zu/%zu flows, %.0f ms, "
-                 "%.2fM ev/s)\n",
-                 r.job.label.c_str(), r.job.cfg.load * 100,
-                 r.report.flows_completed, r.job.cfg.num_flows, r.wall_ms,
-                 r.events_per_sec / 1e6);
-  };
-  return opt;
+                   r.report.flows_completed, r.job.cfg.num_flows, r.wall_ms,
+                   r.events_per_sec / 1e6);
+    };
+    return runner::run_jobs(std::move(jobs), opt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    std::exit(2);
+  }
 }
 
 /// Prints the figure's four normalized panels plus the timeout table from
@@ -270,32 +195,11 @@ inline runner::SweepSpec fct_sweep_spec(const char* name,
   runner::SweepSpec spec;
   spec.name = name;
   spec.base = std::move(base);
-  spec.loads = args.loads;
-  spec.faults = args.fault_grid;
-  spec.traffics = args.traffic_grid;
+  spec.loads = args.sweep.loads;
+  spec.faults = args.sweep.fault_grid;
+  spec.traffics = args.sweep.traffic_grid;
   for (const auto& s : schemes) spec.schemes.emplace_back(s.name, s.scheme);
   return spec;
-}
-
-/// Load the --resume journal into `data` and point `opt` at it (no-op when
-/// --resume was not given). `data` must outlive the sweep. Exits with a
-/// message on a missing or mismatched journal.
-inline void apply_resume(const Args& args, const char* sweep_name,
-                         runner::SweepOptions& opt,
-                         runner::JournalData& data) {
-  opt.journal_name = sweep_name;
-  if (args.resume.empty()) return;
-  try {
-    data = runner::load_journal(args.resume);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "--resume: %s\n", e.what());
-    std::exit(2);
-  }
-  opt.resume = &data;
-  std::fprintf(stderr, "%s: resuming from %s, %zu of %zu run(s) journaled%s\n",
-               sweep_name, args.resume.c_str(), data.entries.size(),
-               data.total_jobs,
-               data.torn_tail ? " (torn tail dropped)" : "");
 }
 
 /// Runs `base` for every (scheme x load) across --jobs workers and prints
@@ -305,26 +209,25 @@ inline int run_fct_sweep(const char* name, const char* title,
                          core::FctExperiment base,
                          const std::vector<SchemeRun>& schemes,
                          const Args& args) {
-  const auto spec = fct_sweep_spec(name, std::move(base), schemes, args);
-  auto opt = sweep_options(args);
-  runner::JournalData journal_data;
-  apply_resume(args, name, opt, journal_data);
-  const auto res = runner::run_sweep(spec, opt);
+  const auto res = run_jobs(
+      fct_sweep_spec(name, std::move(base), schemes, args).expand(), args,
+      name);
+  const std::string& json = args.sweep.json;
   if (!res.ok()) {
     std::fprintf(stderr, "%s: %zu run(s) failed, %zu skipped\n", name,
                  res.failed, res.skipped);
     // Still write the JSON: a failed sweep's partial trajectory (with its
     // per-run error kinds) is evidence.
-    if (!args.json.empty()) runner::write_json_file(res, name, args.json);
+    if (!json.empty()) runner::write_json_file(res, name, json);
     return 1;
   }
   // A fault or traffic axis changes the grid layout the table printers
   // assume (load-major then scheme); print tables only for the plain shape.
-  if (args.fault_grid.empty() && args.traffic_grid.empty()) {
-    print_fct_tables(title, schemes, args.loads, res.runs, 0, args.flows,
-                     args.seed);
+  if (args.sweep.fault_grid.empty() && args.sweep.traffic_grid.empty()) {
+    print_fct_tables(title, schemes, args.sweep.loads, res.runs, 0,
+                     args.flows, args.seed);
   }
-  if (!args.json.empty()) runner::write_json_file(res, name, args.json);
+  if (!json.empty()) runner::write_json_file(res, name, json);
   if (!args.metrics_out.empty()) {
     runner::write_metrics_file(res, name, args.metrics_out);
   }

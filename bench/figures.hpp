@@ -157,7 +157,7 @@ namespace detail {
 inline Args leafspine_defaults() {
   Args a;
   a.flows = 2000;  // ~0.75s of arrivals; raise for tighter tails
-  a.loads = {0.6, 0.9};
+  a.sweep.loads = {0.6, 0.9};
   return a;
 }
 }  // namespace detail

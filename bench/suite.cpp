@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   // unless the user overrides them (the CI smoke grid does).
   bench::Args defaults;
   defaults.flows = 0;
-  defaults.loads.clear();
-  defaults.json = "BENCH_suite.json";
+  defaults.sweep.loads.clear();
+  defaults.sweep.json = "BENCH_suite.json";
   const auto cli = bench::Args::parse(argc, argv, defaults);
 
   std::vector<Slice> slices;
@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
     Slice slice;
     slice.args = def.defaults;
     if (cli.flows > 0) slice.args.flows = cli.flows;
-    if (!cli.loads.empty()) slice.args.loads = cli.loads;
+    if (!cli.sweep.loads.empty()) slice.args.sweep.loads = cli.sweep.loads;
     slice.args.seed = cli.seed;
     slice.args.metrics_out = cli.metrics_out;
-    slice.args.fault_grid = cli.fault_grid;
-    slice.args.traffic_grid = cli.traffic_grid;
+    slice.args.sweep.fault_grid = cli.sweep.fault_grid;
+    slice.args.sweep.traffic_grid = cli.sweep.traffic_grid;
     slice.first = jobs.size();
     const auto spec = bench::fct_sweep_spec(def.name, def.base, def.schemes,
                                             slice.args);
@@ -60,10 +60,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "suite: %zu runs across %zu figures\n", jobs.size(),
                slices.size());
-  auto opt = bench::sweep_options(cli);
-  runner::JournalData journal_data;
-  bench::apply_resume(cli, "suite", opt, journal_data);
-  const auto res = runner::run_jobs(std::move(jobs), opt);
+  const auto res = bench::run_jobs(std::move(jobs), cli, "suite");
 
   if (!res.ok()) {
     std::fprintf(stderr, "suite: %zu run(s) failed, %zu skipped\n",
@@ -79,25 +76,25 @@ int main(int argc, char** argv) {
       }
     }
     // Still write the JSON: a failed sweep's partial trajectory is evidence.
-    runner::write_json_file(res, "suite", cli.json);
+    runner::write_json_file(res, "suite", cli.sweep.json);
     return 1;
   }
 
   // A fault or traffic axis changes the grid layout the table printers
   // assume (load-major then scheme); the structured JSON carries those
   // cells.
-  if (cli.fault_grid.empty() && cli.traffic_grid.empty()) {
+  if (cli.sweep.fault_grid.empty() && cli.sweep.traffic_grid.empty()) {
     for (const auto& slice : slices) {
       bench::print_fct_tables(slice.def.title, slice.def.schemes,
-                              slice.args.loads, res.runs, slice.first,
+                              slice.args.sweep.loads, res.runs, slice.first,
                               slice.args.flows, slice.args.seed);
     }
   }
   std::fprintf(stderr,
                "suite: %zu runs ok in %.1f s (%zu workers), json -> %s\n",
                res.runs.size(), res.wall_ms / 1000.0, res.jobs_used,
-               cli.json.c_str());
-  runner::write_json_file(res, "suite", cli.json);
+               cli.sweep.json.c_str());
+  runner::write_json_file(res, "suite", cli.sweep.json);
   if (!cli.metrics_out.empty()) {
     runner::write_metrics_file(res, "suite", cli.metrics_out);
   }

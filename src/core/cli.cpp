@@ -1,63 +1,23 @@
 #include "core/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "fault/fault.hpp"
+#include "sim/parse.hpp"
 #include "topo/network.hpp"
 #include "traffic/spec.hpp"
 
 namespace tcn::core {
 namespace {
 
-/// `value` in units of `unit` nanoseconds as a sim::Time; a product the
-/// conversion cannot represent is an error, not undefined behaviour.
 sim::Time parse_time(const std::string& flag, const std::string& value,
                      sim::Time unit) {
-  const double ns = parse_double(flag, value) * static_cast<double>(unit);
-  constexpr auto kLimit = static_cast<double>(sim::kTimeMax);
-  if (!(ns > -kLimit && ns < kLimit)) {
-    throw std::invalid_argument(flag + ": '" + value + "' is out of range");
-  }
-  return static_cast<sim::Time>(ns);
-}
-
-std::vector<std::string> split(const std::string& list) {
-  std::vector<std::string> out;
-  std::string token;
-  std::istringstream in(list);
-  while (std::getline(in, token, ',')) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
+  return sim::to_time(flag, sim::parse_double(flag, value), unit);
 }
 
 }  // namespace
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::uint64_t n = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
-  if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument(
-        flag + ": expected a non-negative integer, got '" + value + "'");
-  }
-  return n;
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  double d = 0.0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, d);
-  if (ec != std::errc() || ptr != end || !std::isfinite(d)) {
-    throw std::invalid_argument(flag + ": expected a finite number, got '" +
-                                value + "'");
-  }
-  return d;
-}
 
 Scheme parse_scheme(const std::string& name) {
   if (name == "tcn") return Scheme::kTcn;
@@ -94,12 +54,16 @@ SchedKind parse_sched(const std::string& name) {
 
 void parse_sched_spec(const std::string& spec, SchedConfig& sched) {
   const std::size_t colon = spec.find(':');
-  sched.kind = parse_sched(spec.substr(0, colon));
+  try {
+    sched.kind = parse_sched(spec.substr(0, colon));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("--sched: ") + e.what());
+  }
   if (colon == std::string::npos) return;
   const std::string params = spec.substr(colon + 1);
   if (sched.kind == SchedKind::kSpPifo) {
     // sp-pifo:<levels> -- the number of strict-priority levels.
-    sched.sp_pifo_levels = parse_u64("--sched sp-pifo:<levels>", params);
+    sched.sp_pifo_levels = sim::parse_u64("--sched sp-pifo:<levels>", params);
     if (sched.sp_pifo_levels < 2) {
       throw std::invalid_argument("--sched sp-pifo: levels must be >= 2");
     }
@@ -111,11 +75,12 @@ void parse_sched_spec(const std::string& spec, SchedConfig& sched) {
           "--sched aifo: expected aifo:<window>,<k>");
     }
     sched.aifo_window =
-        parse_u64("--sched aifo:<window>", params.substr(0, comma));
+        sim::parse_u64("--sched aifo:<window>", params.substr(0, comma));
     if (sched.aifo_window < 1) {
       throw std::invalid_argument("--sched aifo: window must be >= 1");
     }
-    sched.aifo_k = parse_double("--sched aifo:<k>", params.substr(comma + 1));
+    sched.aifo_k =
+        sim::parse_double("--sched aifo:<k>", params.substr(comma + 1));
     if (!(sched.aifo_k >= 0.0 && sched.aifo_k < 1.0)) {
       throw std::invalid_argument("--sched aifo: k must be in [0, 1)");
     }
@@ -230,30 +195,6 @@ observability:
                               sampled channel after the run (single-run
                               only, rejected in sweeps; implies sampling at
                               100 us when --sample-interval-us is not given)
-sweep execution (tool-level flags, handled by tcnsim itself):
-  --loads l1,l2,...           run a load sweep (cross product with --seeds)
-  --seeds s1,s2,...           run a seed sweep
-  --jobs N                    parallel sweep workers (0 = one per core);
-                              aggregated output is byte-identical for any N
-  --json PATH                 write structured per-run results, schema
-                              tcn-bench-1 ("-" = stdout)
-  --fault-grid c1|c2|...      sweep a fault axis: each '|'-separated cell is
-                              a complete --faults list ("none" = fault-free),
-                              crossed with --loads/--seeds
-  --traffic-grid c1|c2|...    sweep a traffic axis: each '|'-separated cell
-                              is a complete --traffic list ("none" = the
-                              closed-loop baseline), innermost grid dimension
-  --on-failure P              what a failed run does to the sweep:
-                              cancel_all (default; skip the rest) |
-                              record_and_continue | retry
-  --retries N                 max attempts per job (implies --on-failure
-                              retry; exponential backoff with deterministic
-                              jitter between attempts)
-  --journal PATH              append a tcn-journal-1 checkpoint line (fsync'd)
-                              as each run completes
-  --resume PATH               restore completed runs from a journal and run
-                              only the rest; extends PATH in place unless
-                              --journal names a different file
 misc:
   --seed S                    RNG seed (default 1)
   --help
@@ -280,126 +221,133 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
       }
       return args[++i];
     };
-    if (flag == "--topology") {
-      const auto& v = value();
-      if (v == "star") {
-        is_leafspine = false;
-      } else if (v == "leafspine") {
-        is_leafspine = true;
+    // Every reject names the flag, including those from the name lookups
+    // (parse_scheme, parse_workload) that do not know it.
+    try {
+      if (flag == "--topology") {
+        const auto& v = value();
+        if (v == "star") {
+          is_leafspine = false;
+        } else if (v == "leafspine") {
+          is_leafspine = true;
+        } else {
+          throw std::invalid_argument("--topology: star or leafspine");
+        }
+      } else if (flag == "--hosts") {
+        cfg.star.num_hosts = sim::parse_u64(flag, value());
+      } else if (flag == "--scheme") {
+        cfg.scheme = parse_scheme(value());
+      } else if (flag == "--sched") {
+        parse_sched_spec(value(), cfg.sched);
+      } else if (flag == "--rtt-lambda-us") {
+        cfg.params.rtt_lambda = parse_time(flag, value(), sim::kMicrosecond);
+        rtt_lambda_set = true;
+      } else if (flag == "--red-k-bytes") {
+        cfg.params.red_threshold_bytes = sim::parse_u64(flag, value());
+        red_k_set = true;
+      } else if (flag == "--load") {
+        cfg.load = sim::parse_double(flag, value());
+      } else if (flag == "--flows") {
+        cfg.num_flows = sim::parse_u64(flag, value());
+      } else if (flag == "--services") {
+        cfg.num_services =
+            static_cast<std::uint32_t>(sim::parse_u64(flag, value()));
+        services_set = true;
+      } else if (flag == "--workload") {
+        cfg.service_workloads.clear();
+        for (const auto& w : sim::list_elements(flag, value())) {
+          cfg.service_workloads.push_back(parse_workload(w));
+        }
+        workloads_set = true;
+      } else if (flag == "--pias") {
+        cfg.pias = true;
+      } else if (flag == "--per-flow-connections") {
+        cfg.persistent_connections = false;
+        conn_set = true;
+      } else if (flag == "--persistent-connections") {
+        cfg.persistent_connections = true;
+        conn_set = true;
+      } else if (flag == "--transport") {
+        const auto& v = value();
+        if (v == "dctcp") {
+          cfg.tcp.cc = transport::CongestionControl::kDctcp;
+        } else if (v == "ecnstar") {
+          cfg.tcp.cc = transport::CongestionControl::kEcnStar;
+        } else {
+          throw std::invalid_argument("--transport: dctcp or ecnstar");
+        }
+      } else if (flag == "--sack") {
+        cfg.tcp.sack = true;
+      } else if (flag == "--delayed-ack") {
+        cfg.tcp.delayed_ack = true;
+      } else if (flag == "--rto-min-us") {
+        cfg.tcp.rto_min = parse_time(flag, value(), sim::kMicrosecond);
+        cfg.tcp.rto_init = cfg.tcp.rto_min;
+        rto_set = true;
+      } else if (flag == "--faults") {
+        cfg.faults = fault::parse_fault_specs(value());
+      } else if (flag == "--traffic") {
+        cfg.traffic = traffic::parse_traffic_spec(value());
+      } else if (flag == "--check-invariants") {
+        cfg.check_invariants = true;
+      } else if (flag == "--fail-on-invariant") {
+        cfg.check_invariants = true;
+        cfg.fail_on_invariant = true;
+      } else if (flag == "--wall-budget-ms") {
+        cfg.wall_budget_ms = sim::parse_double(flag, value());
+        if (cfg.wall_budget_ms <= 0) {
+          throw std::invalid_argument("--wall-budget-ms: must be positive");
+        }
+      } else if (flag == "--event-budget") {
+        cfg.event_budget = sim::parse_u64(flag, value());
+      } else if (flag == "--sim-time-budget-s") {
+        cfg.sim_time_budget = parse_time(flag, value(), sim::kSecond);
+        if (cfg.sim_time_budget <= 0) {
+          throw std::invalid_argument("--sim-time-budget-s: must be positive");
+        }
+      } else if (flag == "--pending-budget") {
+        cfg.pending_event_budget = sim::parse_u64(flag, value());
+      } else if (flag == "--time-limit-s") {
+        time_limit = parse_time(flag, value(), sim::kSecond);
+        if (time_limit <= 0) {
+          throw std::invalid_argument("--time-limit-s: must be positive");
+        }
+      } else if (flag == "--metrics-out") {
+        cfg.metrics_out = value();
+        if (cfg.metrics_out.empty()) {
+          throw std::invalid_argument("--metrics-out: empty path");
+        }
+      } else if (flag == "--trace-out") {
+        cfg.trace_out = value();
+        if (cfg.trace_out.empty()) {
+          throw std::invalid_argument("--trace-out: empty path");
+        }
+      } else if (flag == "--sample-interval-us") {
+        cfg.timeseries.interval = parse_time(flag, value(), sim::kMicrosecond);
+        if (cfg.timeseries.interval <= 0) {
+          throw std::invalid_argument("--sample-interval-us: must be positive");
+        }
+      } else if (flag == "--sample-ring") {
+        cfg.timeseries.max_samples = sim::parse_u64(flag, value());
+        if (cfg.timeseries.max_samples == 0) {
+          throw std::invalid_argument("--sample-ring: must be positive");
+        }
+      } else if (flag == "--series-out") {
+        cfg.series_out = value();
+        if (cfg.series_out.empty()) {
+          throw std::invalid_argument("--series-out: empty path");
+        }
+      } else if (flag == "--seed") {
+        cfg.seed = sim::parse_u64(flag, value());
       } else {
-        throw std::invalid_argument("--topology: star or leafspine");
+        throw std::invalid_argument("unknown flag '" + flag +
+                                    "' (see --help)");
       }
-    } else if (flag == "--hosts") {
-      cfg.star.num_hosts = parse_u64(flag, value());
-    } else if (flag == "--scheme") {
-      cfg.scheme = parse_scheme(value());
-    } else if (flag == "--sched") {
-      parse_sched_spec(value(), cfg.sched);
-    } else if (flag == "--rtt-lambda-us") {
-      cfg.params.rtt_lambda = parse_time(flag, value(), sim::kMicrosecond);
-      rtt_lambda_set = true;
-    } else if (flag == "--red-k-bytes") {
-      cfg.params.red_threshold_bytes = parse_u64(flag, value());
-      red_k_set = true;
-    } else if (flag == "--load") {
-      cfg.load = parse_double(flag, value());
-    } else if (flag == "--flows") {
-      cfg.num_flows = parse_u64(flag, value());
-    } else if (flag == "--services") {
-      cfg.num_services = static_cast<std::uint32_t>(parse_u64(flag, value()));
-      services_set = true;
-    } else if (flag == "--workload") {
-      cfg.service_workloads.clear();
-      for (const auto& w : split(value())) {
-        cfg.service_workloads.push_back(parse_workload(w));
+    } catch (const std::invalid_argument& e) {
+      if (std::string_view(e.what()).find(flag) != std::string_view::npos) {
+        throw;
       }
-      if (cfg.service_workloads.empty()) {
-        throw std::invalid_argument("--workload: empty list");
-      }
-      workloads_set = true;
-    } else if (flag == "--pias") {
-      cfg.pias = true;
-    } else if (flag == "--per-flow-connections") {
-      cfg.persistent_connections = false;
-      conn_set = true;
-    } else if (flag == "--persistent-connections") {
-      cfg.persistent_connections = true;
-      conn_set = true;
-    } else if (flag == "--transport") {
-      const auto& v = value();
-      if (v == "dctcp") {
-        cfg.tcp.cc = transport::CongestionControl::kDctcp;
-      } else if (v == "ecnstar") {
-        cfg.tcp.cc = transport::CongestionControl::kEcnStar;
-      } else {
-        throw std::invalid_argument("--transport: dctcp or ecnstar");
-      }
-    } else if (flag == "--sack") {
-      cfg.tcp.sack = true;
-    } else if (flag == "--delayed-ack") {
-      cfg.tcp.delayed_ack = true;
-    } else if (flag == "--rto-min-us") {
-      cfg.tcp.rto_min = parse_time(flag, value(), sim::kMicrosecond);
-      cfg.tcp.rto_init = cfg.tcp.rto_min;
-      rto_set = true;
-    } else if (flag == "--faults") {
-      cfg.faults = fault::parse_fault_specs(value());
-    } else if (flag == "--traffic") {
-      cfg.traffic = traffic::parse_traffic_spec(value());
-    } else if (flag == "--check-invariants") {
-      cfg.check_invariants = true;
-    } else if (flag == "--fail-on-invariant") {
-      cfg.check_invariants = true;
-      cfg.fail_on_invariant = true;
-    } else if (flag == "--wall-budget-ms") {
-      cfg.wall_budget_ms = parse_double(flag, value());
-      if (cfg.wall_budget_ms <= 0) {
-        throw std::invalid_argument("--wall-budget-ms: must be positive");
-      }
-    } else if (flag == "--event-budget") {
-      cfg.event_budget = parse_u64(flag, value());
-    } else if (flag == "--sim-time-budget-s") {
-      cfg.sim_time_budget = parse_time(flag, value(), sim::kSecond);
-      if (cfg.sim_time_budget <= 0) {
-        throw std::invalid_argument("--sim-time-budget-s: must be positive");
-      }
-    } else if (flag == "--pending-budget") {
-      cfg.pending_event_budget = parse_u64(flag, value());
-    } else if (flag == "--time-limit-s") {
-      time_limit = parse_time(flag, value(), sim::kSecond);
-      if (time_limit <= 0) {
-        throw std::invalid_argument("--time-limit-s: must be positive");
-      }
-    } else if (flag == "--metrics-out") {
-      cfg.metrics_out = value();
-      if (cfg.metrics_out.empty()) {
-        throw std::invalid_argument("--metrics-out: empty path");
-      }
-    } else if (flag == "--trace-out") {
-      cfg.trace_out = value();
-      if (cfg.trace_out.empty()) {
-        throw std::invalid_argument("--trace-out: empty path");
-      }
-    } else if (flag == "--sample-interval-us") {
-      cfg.timeseries.interval = parse_time(flag, value(), sim::kMicrosecond);
-      if (cfg.timeseries.interval <= 0) {
-        throw std::invalid_argument("--sample-interval-us: must be positive");
-      }
-    } else if (flag == "--sample-ring") {
-      cfg.timeseries.max_samples = parse_u64(flag, value());
-      if (cfg.timeseries.max_samples == 0) {
-        throw std::invalid_argument("--sample-ring: must be positive");
-      }
-    } else if (flag == "--series-out") {
-      cfg.series_out = value();
-      if (cfg.series_out.empty()) {
-        throw std::invalid_argument("--series-out: empty path");
-      }
-    } else if (flag == "--seed") {
-      cfg.seed = parse_u64(flag, value());
-    } else {
-      throw std::invalid_argument("unknown flag '" + flag +
-                                  "' (see --help)");
+      throw std::invalid_argument(flag + ": " + e.what());
     }
   }
 

@@ -3,7 +3,6 @@
 // (the `tcnsim` tool). The parser lives in the library so it is unit-tested.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,20 +11,12 @@
 namespace tcn::core {
 
 /// Parse `args` (argv[1..]) into an experiment configuration.
-/// Throws std::invalid_argument with a helpful message on bad input.
+/// Throws std::invalid_argument naming the offending flag on bad input.
 FctExperiment parse_cli(const std::vector<std::string>& args);
 
-/// The --help text.
+/// The --help text for the experiment flags (tcnsim appends its sweep
+/// rows, runner/flags.hpp).
 std::string cli_usage();
-
-/// Checked numeric flag values, also used by tcnsim's sweep flags. The
-/// whole of `value` must be the number: no leading blank, no trailing
-/// text, no sign on an unsigned value (std::stoull wraps "-5" to
-/// 2^64 - 5), nothing non-finite for a double ("nan" passes range guards
-/// written as `x <= 0 || x > 1`). Throws std::invalid_argument naming
-/// `flag`.
-std::uint64_t parse_u64(const std::string& flag, const std::string& value);
-double parse_double(const std::string& flag, const std::string& value);
 
 /// Parse helpers exposed for reuse/testing.
 Scheme parse_scheme(const std::string& name);

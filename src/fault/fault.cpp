@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/parse.hpp"
+
 namespace tcn::fault {
 
 BernoulliLoss::BernoulliLoss(double p, std::uint64_t seed)
@@ -141,24 +143,13 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-double parse_double(const std::string& what, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return d;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--faults " + what + ": expected a number, got '" +
-                                v + "'");
-  }
-}
-
+/// A --faults time field in milliseconds.
 sim::Time ms_to_time(const std::string& what, const std::string& v) {
-  const double ms = parse_double(what, v);
+  const double ms = sim::parse_double("--faults " + what, v);
   if (ms < 0) {
     throw std::invalid_argument("--faults " + what + ": negative time");
   }
-  return static_cast<sim::Time>(ms * sim::kMillisecond);
+  return sim::to_time("--faults " + what, ms, sim::kMillisecond);
 }
 
 }  // namespace
@@ -188,7 +179,7 @@ FaultPlan parse_fault_specs(const std::string& spec) {
             "--faults: loss:<target>:<p>[:<start_ms>:<duration_ms>]");
       }
       fs.kind = FaultSpec::Kind::kBernoulliLoss;
-      fs.rate = parse_double("loss p", f[2]);
+      fs.rate = sim::parse_double("--faults loss p", f[2]);
       if (f.size() == 5) {
         fs.start = ms_to_time("loss start", f[3]);
         fs.duration = ms_to_time("loss duration", f[4]);
@@ -200,8 +191,10 @@ FaultPlan parse_fault_specs(const std::string& spec) {
             "geloss:<target>:<p>[:<burst_pkts>[:<start_ms>:<duration_ms>]]");
       }
       fs.kind = FaultSpec::Kind::kGilbertElliott;
-      fs.rate = parse_double("geloss p", f[2]);
-      if (f.size() >= 4) fs.burst_pkts = parse_double("geloss burst", f[3]);
+      fs.rate = sim::parse_double("--faults geloss p", f[2]);
+      if (f.size() >= 4) {
+        fs.burst_pkts = sim::parse_double("--faults geloss burst", f[3]);
+      }
       if (f.size() == 6) {
         fs.start = ms_to_time("geloss start", f[4]);
         fs.duration = ms_to_time("geloss duration", f[5]);
@@ -212,11 +205,10 @@ FaultPlan parse_fault_specs(const std::string& spec) {
             "--faults: squeeze:<target>:<bytes>:<start_ms>:<duration_ms>");
       }
       fs.kind = FaultSpec::Kind::kBufferSqueeze;
-      const double bytes = parse_double("squeeze bytes", f[2]);
-      if (bytes < 1) {
+      fs.buffer_bytes = sim::parse_u64("--faults squeeze bytes", f[2]);
+      if (fs.buffer_bytes < 1) {
         throw std::invalid_argument("--faults squeeze: bytes must be >= 1");
       }
-      fs.buffer_bytes = static_cast<std::uint64_t>(bytes);
       fs.start = ms_to_time("squeeze start", f[3]);
       fs.duration = ms_to_time("squeeze duration", f[4]);
     } else {

@@ -361,68 +361,6 @@ SweepResult run_jobs(std::vector<Job> jobs, const SweepOptions& opt) {
   }
   res.pool_exceptions = pool_faults;
 
-  // Mirror the rollups as obs counters so sweep health is visible through
-  // the same metrics pipeline as simulation telemetry. The key set is fixed
-  // (zero-valued counters included) for a stable schema.
-  obs::MetricsRegistry harness;
-  harness.counter("runner/jobs_total").inc(res.runs.size());
-  harness.counter("runner/completed").inc(res.completed);
-  harness.counter("runner/failed").inc(res.failed);
-  harness.counter("runner/skipped").inc(res.skipped);
-  harness.counter("runner/restored").inc(res.restored);
-  harness.counter("runner/retries").inc(res.retries);
-  harness.counter("runner/failed_timeout").inc(res.failed_timeout);
-  harness.counter("runner/failed_invariant").inc(res.failed_invariant);
-  harness.counter("runner/failed_oom_guard").inc(res.failed_oom_guard);
-  harness.counter("runner/failed_exception").inc(res.failed_exception);
-  harness.counter("runner/pool_exceptions").inc(res.pool_exceptions);
-  // Event-engine telemetry, aggregated over completed runs in index order
-  // (runs are already index-sorted, so the gauge deterministically holds the
-  // sweep-wide peak regardless of --jobs).
-  std::uint64_t peak_pending = 0;
-  std::uint64_t calendar_resizes = 0;
-  for (const RunRecord& r : res.runs) {
-    if (!r.ok) continue;
-    peak_pending = std::max(peak_pending, r.report.sim_peak_pending);
-    calendar_resizes += r.report.sim_calendar_resizes;
-  }
-  harness.gauge("sim/event_peak_pending").set(static_cast<double>(peak_pending));
-  harness.counter("sim/calendar_resizes").inc(calendar_resizes);
-  // Stability rollup, present only when at least one run sampled (the
-  // conditional-key discipline: unsampled sweeps keep their exact harness
-  // key set). Aggregated in index order like the telemetry above, so the
-  // counts and the peak are deterministic under --jobs.
-  std::uint64_t sampled_runs = 0;
-  std::uint64_t regime_stable = 0;
-  std::uint64_t regime_oscillating = 0;
-  std::uint64_t regime_saturated = 0;
-  double oscillation_peak = 0.0;
-  for (const RunRecord& r : res.runs) {
-    if (!r.ok || !r.report.stability_analyzed) continue;
-    ++sampled_runs;
-    switch (r.report.stability.regime) {
-      case obs::Regime::kStable:
-        ++regime_stable;
-        break;
-      case obs::Regime::kOscillating:
-        ++regime_oscillating;
-        break;
-      case obs::Regime::kSaturated:
-        ++regime_saturated;
-        break;
-    }
-    oscillation_peak =
-        std::max(oscillation_peak, r.report.stability.oscillation_score);
-  }
-  if (sampled_runs > 0) {
-    harness.counter("stability/sampled_runs").inc(sampled_runs);
-    harness.counter("stability/regime_stable").inc(regime_stable);
-    harness.counter("stability/regime_oscillating").inc(regime_oscillating);
-    harness.counter("stability/regime_saturated").inc(regime_saturated);
-    harness.gauge("stability/oscillation_peak").set(oscillation_peak);
-  }
-  res.harness_metrics = harness.snapshot();
-
   res.wall_ms = ms_since(sweep_start);
   return res;
 }

@@ -39,7 +39,6 @@
 
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
-#include "obs/metrics.hpp"
 
 namespace tcn::runner {
 
@@ -172,9 +171,6 @@ struct SweepResult {
   std::uint64_t pool_exceptions = 0;
   std::size_t jobs_used = 1;  ///< worker threads actually spawned
   double wall_ms = 0.0;       ///< whole-sweep wall clock
-  /// The same rollups as runner/* obs counters (jobs_total, completed,
-  /// failed_timeout, ..., retries, restored, pool_exceptions).
-  obs::MetricsSnapshot harness_metrics;
 
   [[nodiscard]] bool ok() const noexcept {
     return failed == 0 && skipped == 0;

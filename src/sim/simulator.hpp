@@ -182,16 +182,14 @@ class Simulator {
   }
 
   /// High-water mark of pending queue entries. Engine telemetry: copied
-  /// into FctReport after each run and mirrored into the sweep-level
-  /// harness MetricsRegistry as the sim/event_peak_pending gauge (the
-  /// per-run registry is byte-pinned by the metrics golden, so the
-  /// simulator itself registers nothing -- plain counters here keep the
-  /// hot path obs-free entirely).
+  /// into FctReport after each run (the per-run registry is byte-pinned by
+  /// the metrics golden, so the simulator itself registers nothing --
+  /// plain counters here keep the hot path obs-free entirely).
   [[nodiscard]] std::uint64_t peak_pending() const noexcept {
     return peak_pending_;
   }
 
-  /// Calendar-queue rebuilds so far (sim/calendar_resizes counter).
+  /// Calendar-queue rebuilds so far (FctReport::sim_calendar_resizes).
   [[nodiscard]] std::uint64_t calendar_resizes() const noexcept {
     return queue_.resizes();
   }

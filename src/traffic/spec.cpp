@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "sim/parse.hpp"
+
 namespace tcn::traffic {
 namespace {
 
@@ -18,19 +20,12 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-[[noreturn]] void bad(const std::string& clause, const std::string& why) {
-  throw std::invalid_argument("--traffic clause '" + clause + "': " + why);
+std::string where(const std::string& clause) {
+  return "--traffic clause '" + clause + "'";
 }
 
-double to_double(const std::string& clause, const std::string& field) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(field, &used);
-    if (used != field.size()) throw std::invalid_argument(field);
-    return v;
-  } catch (const std::exception&) {
-    bad(clause, "bad number '" + field + "'");
-  }
+[[noreturn]] void bad(const std::string& clause, const std::string& why) {
+  throw std::invalid_argument(where(clause) + ": " + why);
 }
 
 workload::Kind to_workload(const std::string& clause,
@@ -54,12 +49,9 @@ workload::Kind to_workload(const std::string& clause,
 
 int to_dscp(const std::string& clause, const std::string& field) {
   if (field == "-") return -1;
-  const double v = to_double(clause, field);
-  const int dscp = static_cast<int>(v);
-  if (v != dscp || dscp < 0 || dscp > 63) {
-    bad(clause, "dscp must be '-' or an integer in [0, 63]");
-  }
-  return dscp;
+  const std::uint64_t dscp = sim::parse_u64(where(clause) + " dscp", field);
+  if (dscp > 63) bad(clause, "dscp must be '-' or an integer in [0, 63]");
+  return static_cast<int>(dscp);
 }
 
 // poisson:<name>:<workload>:<share>[:<dscp>]
@@ -77,13 +69,13 @@ TenantSpec parse_tenant(const std::string& clause,
   t.name = f[1];
   if (t.name.empty()) bad(clause, "tenant name must be non-empty");
   t.workload = to_workload(clause, f[2]);
-  t.share = to_double(clause, f[3]);
+  t.share = sim::parse_double(where(clause), f[3]);
   if (t.share <= 0) bad(clause, "share must be > 0");
   if (f.size() > 4) t.dscp = to_dscp(clause, f[4]);
   if (mmpp) {
-    if (f.size() > 5) t.burst_ratio = to_double(clause, f[5]);
-    if (f.size() > 6) t.duty = to_double(clause, f[6]);
-    if (f.size() > 7) t.dwell_ms = to_double(clause, f[7]);
+    if (f.size() > 5) t.burst_ratio = sim::parse_double(where(clause), f[5]);
+    if (f.size() > 6) t.duty = sim::parse_double(where(clause), f[6]);
+    if (f.size() > 7) t.dwell_ms = sim::parse_double(where(clause), f[7]);
     if (t.burst_ratio < 1) bad(clause, "burst ratio must be >= 1");
     if (t.duty <= 0 || t.duty >= 1) bad(clause, "duty must be in (0, 1)");
     if (t.burst_ratio * t.duty > 1) {
@@ -92,6 +84,8 @@ TenantSpec parse_tenant(const std::string& clause,
           "rate*(1-burst*duty)/(1-duty) would go negative)");
     }
     if (t.dwell_ms <= 0) bad(clause, "dwell_ms must be > 0");
+    // The MMPP draws its dwell times as sim::Time.
+    sim::to_time(where(clause) + " dwell_ms", t.dwell_ms, sim::kMillisecond);
   }
   return t;
 }
@@ -102,10 +96,11 @@ DiurnalSpec parse_diurnal(const std::string& clause,
     bad(clause, "want diurnal:<period_s>:<min_factor>:<peak_factor>");
   }
   DiurnalSpec d;
-  d.period_s = to_double(clause, f[1]);
-  d.min_factor = to_double(clause, f[2]);
-  d.peak_factor = to_double(clause, f[3]);
+  d.period_s = sim::parse_double(where(clause), f[1]);
+  d.min_factor = sim::parse_double(where(clause), f[2]);
+  d.peak_factor = sim::parse_double(where(clause), f[3]);
   if (d.period_s <= 0) bad(clause, "period_s must be > 0");
+  sim::to_time(where(clause) + " period_s", d.period_s, sim::kSecond);
   if (d.min_factor <= 0) bad(clause, "min_factor must be > 0");
   if (d.peak_factor < d.min_factor) {
     bad(clause, "peak_factor must be >= min_factor");

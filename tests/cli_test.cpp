@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/cli.hpp"
+#include "sim/parse.hpp"
 
 namespace tcn::core {
 namespace {
@@ -189,13 +190,14 @@ TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
   // Finite but beyond what a nanosecond sim::Time can hold.
   expect_rejected("--rtt-lambda-us", "1e300");
   expect_rejected("--time-limit-s", "1e10");
-  // The shared helpers behind tcnsim's own flags (--loads, --seeds, --jobs).
-  EXPECT_THROW(parse_double("--loads", "abc"), std::invalid_argument);
-  EXPECT_THROW(parse_double("--loads", "0.5x"), std::invalid_argument);
-  EXPECT_THROW(parse_u64("--jobs", "-2"), std::invalid_argument);
-  EXPECT_EQ(parse_double("--loads", "0.25"), 0.25);
-  EXPECT_EQ(parse_double("--loads", "1e-1"), 0.1);
-  EXPECT_EQ(parse_u64("--seeds", "18446744073709551615"),
+  // The shared helpers behind the sweep flag rows (--loads, --seeds,
+  // --jobs) and the --faults / --traffic clauses.
+  EXPECT_THROW(sim::parse_double("--loads", "abc"), std::invalid_argument);
+  EXPECT_THROW(sim::parse_double("--loads", "0.5x"), std::invalid_argument);
+  EXPECT_THROW(sim::parse_u64("--jobs", "-2"), std::invalid_argument);
+  EXPECT_EQ(sim::parse_double("--loads", "0.25"), 0.25);
+  EXPECT_EQ(sim::parse_double("--loads", "1e-1"), 0.1);
+  EXPECT_EQ(sim::parse_u64("--seeds", "18446744073709551615"),
             18'446'744'073'709'551'615u);
   // Well-formed values still parse exactly as before.
   const auto cfg = parse({"--flows", "0", "--load", "0.3", "--rtt-lambda-us",
@@ -206,17 +208,18 @@ TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
   EXPECT_EQ(cfg.time_limit, 9'000'000'000 * sim::kSecond);
 }
 
+// tcnsim's sweep rows (--loads, --jobs, --fault-grid, ...) are printed from
+// their flag table; flags_test checks that tcnsim's --help names each.
 TEST(Cli, UsageMentionsEveryFlag) {
   const auto usage = cli_usage();
   for (const char* flag :
        {"--topology", "--scheme", "--sched", "--load", "--flows",
         "--workload", "--pias", "--transport", "--sack", "--delayed-ack",
         "--seed", "--rtt-lambda-us", "--red-k-bytes", "--metrics-out",
-        "--trace-out", "--check-invariants", "--faults", "--fault-grid",
+        "--trace-out", "--check-invariants", "--faults",
         "--fail-on-invariant", "--wall-budget-ms", "--event-budget",
-        "--sim-time-budget-s", "--pending-budget", "--on-failure",
-        "--retries", "--journal", "--resume", "--traffic",
-        "--traffic-grid", "--time-limit-s"}) {
+        "--sim-time-budget-s", "--pending-budget", "--traffic",
+        "--time-limit-s"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
   // The --sched grammar advertises the parameterized rank schedulers.

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -110,6 +111,26 @@ TEST(ParseFaults, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_specs("geloss:x:0.1:10:5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_specs("linkdown:x:-1:2"), std::invalid_argument);
   EXPECT_THROW(parse_fault_specs("squeeze:x:0:1:2"), std::invalid_argument);
+}
+
+// Numbers are checked (sim::parse_double / parse_u64 / to_time): NaN loss
+// silently meant no loss, and inf bytes or a NaN or 1e300 ms start were
+// cast into uint64_t / sim::Time (undefined behaviour; the NaN start died
+// later as "time in the past").
+TEST(ParseFaults, RejectsNonFiniteAndOutOfRangeNumbers) {
+  for (const char* spec :
+       {"loss:sw0.p0:nan", "squeeze:sw0.p0:inf:0:10",
+        "linkdown:sw0.p0:1e300:20", "linkdown:sw0.p0:nan:20",
+        "linkdown:sw0.p0:1:inf", "geloss:sw0.p0:0.01:nan",
+        "squeeze:sw0.p0:-1:0:10", "loss:sw0.p0:0.1:0x10:5"}) {
+    try {
+      parse_fault_specs(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--faults"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------- loss models

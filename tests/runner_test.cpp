@@ -412,58 +412,6 @@ TEST(Sweep, EventBudgetRecordsTimeout) {
   EXPECT_EQ(res.failed_timeout, 1u);
 }
 
-TEST(Sweep, HarnessMetricsMirrorTotals) {
-  auto spec = small_spec();
-  spec.base.num_services = 0;
-  runner::SweepOptions opt;
-  opt.failure_policy = runner::FailurePolicy::kRecordAndContinue;
-  const auto res = runner::run_sweep(spec, opt);
-  auto counter = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& c : res.harness_metrics.counters) {
-      if (c.name == name) return c.value;
-    }
-    ADD_FAILURE() << "missing counter " << name;
-    return ~std::uint64_t{0};
-  };
-  EXPECT_EQ(counter("runner/jobs_total"), res.runs.size());
-  EXPECT_EQ(counter("runner/completed"), res.completed);
-  EXPECT_EQ(counter("runner/failed"), res.failed);
-  EXPECT_EQ(counter("runner/failed_exception"), res.failed_exception);
-  EXPECT_EQ(counter("runner/skipped"), res.skipped);
-  EXPECT_EQ(counter("runner/restored"), 0u);
-  EXPECT_EQ(counter("runner/pool_exceptions"), 0u);
-}
-
-// The event-engine telemetry rides the same harness registry as runner/*:
-// the gauge holds the sweep-wide pending peak over ok runs, the counter sums
-// calendar resizes. Needs completing runs, unlike the mirror test above.
-TEST(Sweep, HarnessMetricsCarryEventEngineTelemetry) {
-  const auto spec = small_spec();
-  runner::SweepOptions opt;
-  const auto res = runner::run_sweep(spec, opt);
-  ASSERT_GT(res.completed, 0u);
-  std::uint64_t want_peak = 0;
-  std::uint64_t want_resizes = 0;
-  for (const auto& r : res.runs) {
-    if (!r.ok) continue;
-    want_peak = std::max(want_peak, r.report.sim_peak_pending);
-    want_resizes += r.report.sim_calendar_resizes;
-  }
-  EXPECT_GT(want_peak, 0u);  // a completed run always pushed events
-  const auto& counters = res.harness_metrics.counters;
-  const auto c = std::find_if(counters.begin(), counters.end(), [](const auto& v) {
-    return v.name == "sim/calendar_resizes";
-  });
-  ASSERT_NE(c, counters.end());
-  EXPECT_EQ(c->value, want_resizes);
-  const auto& gauges = res.harness_metrics.gauges;
-  const auto g = std::find_if(gauges.begin(), gauges.end(), [](const auto& v) {
-    return v.name == "sim/event_peak_pending";
-  });
-  ASSERT_NE(g, gauges.end());
-  EXPECT_EQ(g->last, static_cast<double>(want_peak));
-}
-
 // ------------------------------------------------------------ fault axis ----
 
 TEST(Sweep, ParseFaultGridLabelsCells) {

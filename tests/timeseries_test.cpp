@@ -402,14 +402,6 @@ TEST(TimeSeriesExperiment, SeriesOutWritesTcnSeries1) {
   EXPECT_EQ(channel_lines, report.series_channels);
 }
 
-const obs::MetricsSnapshot::CounterValue* find_counter(
-    const obs::MetricsSnapshot& snap, std::string_view name) {
-  for (const auto& c : snap.counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
 std::vector<runner::Job> sampled_jobs() {
   std::vector<runner::Job> jobs;
   for (const double load : {0.4, 0.6}) {
@@ -444,12 +436,6 @@ TEST(TimeSeriesSweep, StabilityRidesJsonByteIdenticallyForAnyJobs) {
   EXPECT_EQ(doc1, doc4);
   EXPECT_NE(doc1.find("\"stability\""), std::string::npos);
   EXPECT_NE(doc1.find("\"regime\""), std::string::npos);
-
-  // The sweep harness rolls regimes up only when sampling actually ran.
-  const auto* sampled =
-      find_counter(res1.harness_metrics, "stability/sampled_runs");
-  ASSERT_NE(sampled, nullptr);
-  EXPECT_EQ(sampled->value, 4u);
 }
 
 TEST(TimeSeriesSweep, JournalRoundTripsStability) {
@@ -489,8 +475,6 @@ TEST(TimeSeriesSweep, UnsampledJournalsStillParse) {
   opt.journal_name = "ts_sweep";
   const auto res = runner::run_jobs(std::move(jobs), opt);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(find_counter(res.harness_metrics, "stability/sampled_runs"),
-            nullptr);
 
   const auto data = runner::load_journal(path);
   ASSERT_EQ(data.entries.size(), res.runs.size());

@@ -106,6 +106,26 @@ TEST(TrafficSpec, RejectsBadInput) {
       std::invalid_argument);  // duplicate replay
 }
 
+// Numbers are checked and the clause is named: an infinite dwell or share
+// was accepted, and a NaN share failed only deep in PoissonArrivals.
+TEST(TrafficSpec, RejectsNonFiniteNumbersNamingTheClause) {
+  for (const char* spec :
+       {"mmpp:b:websearch:1:-:2:0.25:inf", "poisson:web:websearch:nan",
+        "poisson:web:websearch:inf", "mmpp:b:websearch:1:-:2:0.25:1e300",
+        "poisson:w:cache:1:1e300", "poisson:w:cache:1:3.5",
+        "diurnal:1e300:0.5:1.5"}) {
+    try {
+      traffic::parse_traffic_spec(std::string(spec) + ";poisson:ok:cache:1");
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--traffic clause '" +
+                                           std::string(spec) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TrafficSpec, GridCellsAndNoneBaseline) {
   const auto cells =
       traffic::parse_traffic_grid("none|poisson:web:websearch:1");

@@ -16,111 +16,31 @@
 #include <string>
 #include <vector>
 
-#include "core/cli.hpp"
-#include "fault/fault.hpp"
 #include "runner/journal.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
-#include "traffic/spec.hpp"
-
-namespace {
-
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::string token;
-  for (std::size_t pos = 0; pos <= list.size(); ++pos) {
-    if (pos == list.size() || list[pos] == ',') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-    } else {
-      token += list[pos];
-    }
-  }
-  return out;
-}
-
-}  // namespace
+#include "tcnsim_args.hpp"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (const auto& a : args) {
-    if (a == "--help" || a == "-h") {
-      std::fputs(tcn::core::cli_usage().c_str(), stdout);
-      return 0;
-    }
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  if (tcn::runner::wants_help(args)) {
+    tcn::tools::TcnsimArgs defaults;
+    std::printf("%ssweep execution (tool-level flags, handled by tcnsim "
+                "itself):\n%s",
+                tcn::core::cli_usage().c_str(),
+                tcn::runner::flags_usage(tcn::tools::tcnsim_flags(defaults))
+                    .c_str());
+    return 0;
   }
   try {
-    // Sweep-level flags are handled here; everything else configures the
-    // experiment via the library parser.
-    std::size_t jobs = 1;
-    std::string json_path;
-    std::vector<double> loads;
-    std::vector<std::uint64_t> seeds;
-    std::vector<std::pair<std::string, tcn::fault::FaultPlan>> fault_grid;
-    std::vector<std::pair<std::string, tcn::traffic::TrafficSpec>>
-        traffic_grid;
-    tcn::runner::SweepOptions opt;
-    std::string resume_path;
-    bool on_failure_set = false;
-    std::vector<std::string> rest;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::string& flag = args[i];
-      auto value = [&]() -> const std::string& {
-        if (i + 1 >= args.size()) {
-          throw std::invalid_argument(flag + ": missing value");
-        }
-        return args[++i];
-      };
-      if (flag == "--jobs") {
-        jobs = tcn::core::parse_u64(flag, value());
-      } else if (flag == "--json") {
-        json_path = value();
-      } else if (flag == "--loads") {
-        for (const auto& t : split_list(value())) {
-          loads.push_back(tcn::core::parse_double(flag, t));
-        }
-        if (loads.empty()) throw std::invalid_argument("--loads: empty list");
-      } else if (flag == "--seeds") {
-        for (const auto& t : split_list(value())) {
-          seeds.push_back(tcn::core::parse_u64(flag, t));
-        }
-        if (seeds.empty()) throw std::invalid_argument("--seeds: empty list");
-      } else if (flag == "--fault-grid") {
-        fault_grid = tcn::fault::parse_fault_grid(value());
-      } else if (flag == "--traffic-grid") {
-        traffic_grid = tcn::traffic::parse_traffic_grid(value());
-      } else if (flag == "--on-failure") {
-        opt.failure_policy = tcn::runner::failure_policy_from_name(value());
-        on_failure_set = true;
-      } else if (flag == "--retries") {
-        opt.retry.max_attempts = tcn::core::parse_u64(flag, value());
-        if (opt.retry.max_attempts == 0) {
-          throw std::invalid_argument("--retries: must be >= 1");
-        }
-        if (!on_failure_set) {
-          opt.failure_policy = tcn::runner::FailurePolicy::kRetry;
-        }
-      } else if (flag == "--journal") {
-        opt.journal_out = value();
-        if (opt.journal_out.empty()) {
-          throw std::invalid_argument("--journal: empty path");
-        }
-      } else if (flag == "--resume") {
-        resume_path = value();
-        if (resume_path.empty()) {
-          throw std::invalid_argument("--resume: empty path");
-        }
-      } else {
-        rest.push_back(flag);
-      }
-    }
-
-    const auto cfg = tcn::core::parse_cli(rest);
+    const auto cli = tcn::tools::parse_tcnsim_args(args);
+    const auto& [flags, seeds, cfg] = cli;
+    const auto& loads = flags.loads;
 
     const bool single = loads.size() <= 1 && seeds.size() <= 1 &&
-                        json_path.empty() && fault_grid.empty() &&
-                        traffic_grid.empty() && opt.journal_out.empty() &&
-                        resume_path.empty();
+                        flags.json.empty() && flags.fault_grid.empty() &&
+                        flags.traffic_grid.empty() && flags.journal.empty() &&
+                        flags.resume.empty();
     if (single) {
       auto one = cfg;
       if (!loads.empty()) one.load = loads[0];
@@ -155,26 +75,11 @@ int main(int argc, char** argv) {
     spec.schemes = {{tcn::core::scheme_name(cfg.scheme), cfg.scheme}};
     spec.loads = loads.empty() ? std::vector<double>{cfg.load} : loads;
     if (!seeds.empty()) spec.seeds = seeds;
-    spec.faults = std::move(fault_grid);
-    spec.traffics = std::move(traffic_grid);
+    spec.faults = flags.fault_grid;
+    spec.traffics = flags.traffic_grid;
 
-    opt.jobs = jobs;
-    opt.journal_name = spec.name;
-    // --resume with no --journal extends the same journal in place, so a
-    // sweep can be killed and resumed any number of times.
-    if (!resume_path.empty() && opt.journal_out.empty()) {
-      opt.journal_out = resume_path;
-    }
-    tcn::runner::JournalData journal_data;
-    if (!resume_path.empty()) {
-      journal_data = tcn::runner::load_journal(resume_path);
-      opt.resume = &journal_data;
-      std::fprintf(stderr,
-                   "resuming from %s: %zu of %zu run(s) journaled%s\n",
-                   resume_path.c_str(), journal_data.entries.size(),
-                   journal_data.total_jobs,
-                   journal_data.torn_tail ? " (torn tail dropped)" : "");
-    }
+    tcn::runner::JournalData journal;
+    auto opt = tcn::runner::sweep_options(flags, spec.name, journal);
     opt.on_done = [](const tcn::runner::RunRecord& r) {
       if (r.skipped) return;
       std::fprintf(stderr, "  [load=%.0f%% seed=%llu] %s (%.0f ms)\n",
@@ -206,8 +111,8 @@ int main(int argc, char** argv) {
                     r.error.c_str());
       }
     }
-    if (!json_path.empty()) {
-      tcn::runner::write_json_file(res, "tcnsim", json_path);
+    if (!flags.json.empty()) {
+      tcn::runner::write_json_file(res, "tcnsim", flags.json);
     }
     if (!metrics_path.empty()) {
       tcn::runner::write_metrics_file(res, "tcnsim", metrics_path);
