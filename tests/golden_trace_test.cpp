@@ -5,6 +5,12 @@
 // histogram bucketing, sampled queue depth or JSON rendering shows up here
 // as a byte diff.
 //
+// Two whole FctExperiment runs are pinned the same way as tcn-bench-1
+// records: a small leaf-spine (three-hop paths, 3-member ECMP groups, PIAS)
+// and the Fig. 6 star. Those catch what a single port cannot -- an ECMP
+// member change or a same-time pop-order change anywhere in a fabric moves
+// an FCT, a counter or the event count.
+//
 // Regenerating after an INTENTIONAL format change (review the diff!):
 //
 //   TCN_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
@@ -23,10 +29,13 @@
 
 #include "aqm/tcn.hpp"
 #include "core/schemes.hpp"
+#include "figures.hpp"
 #include "net/port.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "runner/results.hpp"
+#include "runner/sweep.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -186,6 +195,54 @@ Run run_aifo_scenario() {
   return run_scenario_with(sched_cfg, 6'000);
 }
 
+/// One FctExperiment run as its tcn-bench-1 document with timing off. The
+/// "sim_calendar_resizes" line is left out: it counts how the event queue
+/// sized itself, which is not part of what the simulation computed.
+std::string bench_record(const std::string& name, core::FctExperiment cfg) {
+  cfg.scheme = core::Scheme::kTcn;
+  runner::Job job;
+  job.group = name;
+  job.label = "TCN";
+  job.cfg = std::move(cfg);
+  const auto res = runner::run_jobs({std::move(job)});
+  EXPECT_TRUE(res.ok()) << res.runs.at(0).error;
+  std::string doc = runner::to_json(res, name, /*include_timing=*/false);
+  // The key closes "counters": drop it with the comma before it.
+  const std::size_t key = doc.find("\"sim_calendar_resizes\"");
+  EXPECT_NE(key, std::string::npos);
+  if (key != std::string::npos) {
+    const std::size_t comma = doc.rfind(',', key);
+    doc.erase(comma, doc.find('\n', key) - comma);
+  }
+  return doc;
+}
+
+/// Fig. 10's configuration (SP/DWRR + PIAS + TCN, 7 services, cold
+/// connections) on a 4-leaf x 3-spine fabric with 4 hosts per leaf, so
+/// every uplink ECMP group has 3 members. Every service draws web search
+/// sizes: under Fig. 10's mix one data-mining flow carries most of the
+/// bytes of 60 flows and no port ever marks.
+std::string leafspine_record() {
+  core::FctExperiment cfg = bench::fig10().base;
+  cfg.leaf_spine.num_leaves = 4;
+  cfg.leaf_spine.num_spines = 3;
+  cfg.leaf_spine.hosts_per_leaf = 4;
+  cfg.service_workloads = {workload::Kind::kWebSearch};
+  cfg.load = 0.9;
+  cfg.num_flows = 60;
+  cfg.seed = 1;
+  return bench_record("golden-leafspine", std::move(cfg));
+}
+
+/// Fig. 6's star: DWRR over 4 service queues + TCN, web search.
+std::string star_record() {
+  core::FctExperiment cfg = bench::fig06().base;
+  cfg.load = 0.6;
+  cfg.num_flows = 200;
+  cfg.seed = 1;
+  return bench_record("golden-star", std::move(cfg));
+}
+
 TEST(GoldenTrace, SpDwrrScenarioTraceBytes) {
   compare_or_update("trace_sp_dwrr.jsonl", run_scenario().trace);
 }
@@ -212,6 +269,14 @@ TEST(GoldenTrace, AifoScenarioTraceBytes) {
 
 TEST(GoldenTrace, AifoScenarioMetricsBytes) {
   compare_or_update("metrics_aifo.json", run_aifo_scenario().metrics);
+}
+
+TEST(GoldenTrace, LeafSpineRunRecordBytes) {
+  compare_or_update("run_leafspine_spdwrr_tcn.json", leafspine_record());
+}
+
+TEST(GoldenTrace, StarRunRecordBytes) {
+  compare_or_update("run_star_dwrr_tcn.json", star_record());
 }
 
 TEST(GoldenTrace, ScenarioIsSelfConsistent) {
