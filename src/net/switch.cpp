@@ -1,6 +1,7 @@
 #include "net/switch.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace tcn::net {
@@ -26,14 +27,8 @@ std::uint64_t flow_hash(const Packet& p) {
 
 }  // namespace
 
-Classifier dscp_classifier() {
-  return [](const Packet& p, std::size_t num_queues) {
-    return std::min<std::size_t>(p.dscp, num_queues - 1);
-  };
-}
-
 Switch::Switch(sim::Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)), classifier_(dscp_classifier()) {}
+    : sim_(sim), name_(std::move(name)) {}
 
 std::size_t Switch::add_port(PortConfig cfg, std::unique_ptr<Scheduler> sched,
                              std::unique_ptr<Marker> marker) {
@@ -48,36 +43,59 @@ void Switch::connect(std::size_t port, Node* peer, std::size_t peer_ingress) {
   ports_.at(port)->connect(peer, peer_ingress);
 }
 
-void Switch::add_route(std::uint32_t dst, std::vector<std::size_t> ports) {
-  routes_[dst] = std::move(ports);
+void Switch::add_route(std::uint32_t dst,
+                       const std::vector<std::size_t>& ports) {
+  if (dst >= kMaxAddress) {
+    throw std::invalid_argument(name_ + ": route address " +
+                                std::to_string(dst) + " is not below 2^24");
+  }
+  for (const std::size_t p : ports) {
+    if (p >= ports_.size()) {
+      throw std::invalid_argument(name_ + ": route to " + std::to_string(dst) +
+                                  " names missing port " + std::to_string(p));
+    }
+  }
+  if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1);
+  // A replaced group's members stay behind unused; topologies route each
+  // address once.
+  routes_[dst] = Route{static_cast<std::uint32_t>(members_.size()),
+                       static_cast<std::uint32_t>(ports.size())};
+  members_.insert(members_.end(), ports.begin(), ports.end());
+}
+
+std::size_t Switch::live_member(const Route& r, std::uint64_t hash,
+                                 std::size_t fallback) const {
+  const std::uint32_t* group = members_.data() + r.first;
+  std::uint32_t live = 0;
+  for (std::uint32_t i = 0; i < r.count; ++i) {
+    live += ports_[group[i]]->link_up() ? 1 : 0;
+  }
+  if (live == 0) return fallback;
+  std::uint64_t k = hash % live;
+  for (std::uint32_t i = 0;; ++i) {
+    if (ports_[group[i]]->link_up() && k-- == 0) return group[i];
+  }
 }
 
 void Switch::receive(PacketPtr p, std::size_t /*ingress*/) {
-  const auto it = routes_.find(p->dst);
-  if (it == routes_.end() || it->second.empty()) {
+  const std::uint32_t dst = p->dst;
+  if (dst >= routes_.size() || routes_[dst].count == 0) {
     ++unrouted_;
     return;
   }
-  const auto& group = it->second;
-  std::size_t out = group[0];
-  if (group.size() > 1) {
+  const Route r = routes_[dst];
+  std::size_t out = members_[r.first];
+  if (r.count > 1) {
     const std::uint64_t hash = flow_hash(*p);
-    out = group[hash % group.size()];
+    out = members_[r.first + hash % r.count];
     // Steer around dead ECMP members: flows hashed onto a downed link are
     // deterministically rehashed over the live members (like a fabric
     // routing update); flows on healthy links keep their path.
-    if (!ports_[out]->link_up()) {
-      std::vector<std::size_t> alive;
-      alive.reserve(group.size());
-      for (const std::size_t member : group) {
-        if (ports_[member]->link_up()) alive.push_back(member);
-      }
-      // All members down: fall through and let the port blackhole it.
-      if (!alive.empty()) out = alive[hash % alive.size()];
-    }
+    if (!ports_[out]->link_up()) out = live_member(r, hash, out);
   }
   Port& port = *ports_[out];
-  const std::size_t q = classifier_(*p, port.num_queues());
+  const std::size_t q =
+      std::min<std::size_t>(p->dscp, port.num_queues() - 1);
   port.enqueue(std::move(p), q);
 }
 

@@ -9,10 +9,13 @@ namespace tcn::sim {
 namespace {
 
 /// Descending (at, seq) order: sorting a bucket with this puts the earliest
-/// entry at the back, so draining is pop_back.
-bool entry_after(const EventEntry& a, const EventEntry& b) noexcept {
-  return entry_before(b, a);
-}
+/// entry at the back, so draining is pop_back. A function object rather
+/// than a function, so every algorithm it is handed inlines the compare.
+struct EntryAfter {
+  bool operator()(const EventEntry& a, const EventEntry& b) const noexcept {
+    return entry_before(b, a);
+  }
+};
 
 }  // namespace
 
@@ -64,7 +67,7 @@ void CalendarQueue::place(const EventEntry& e) {
   const std::uint64_t vb = vbucket(e.at);
   if (vb >= horizon_vb()) {
     overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), entry_after);
+    std::push_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
     note_overflow_top();
     return;
   }
@@ -75,8 +78,10 @@ void CalendarQueue::place(const EventEntry& e) {
 void CalendarQueue::push_slow(const EventEntry& e) {
   const std::uint64_t vb = vbucket(e.at);
   if (size_ == 0) {
-    // Empty queue: re-base the dial on the new entry, O(1).
+    // Empty queue: re-base the dial on the new entry, O(1). For the
+    // occupancy window that starts a dial bucket, as a settle does.
     dial_vb_ = vb;
+    ++window_.settles;
   } else if (vb < dial_vb_) {
     // Behind a settled dial. Only possible after run(until) returned with
     // later events still pending and the caller then scheduled an earlier
@@ -90,9 +95,13 @@ void CalendarQueue::push_slow(const EventEntry& e) {
     // The dial bucket drains from current_ (descending); keep it sorted so
     // popping stays a pop_back. Same-time self-reschedules land near the
     // back (seq is larger), so the common case moves few entries.
-    current_.insert(
-        std::upper_bound(current_.begin(), current_.end(), e, entry_after), e);
+    const auto it =
+        std::upper_bound(current_.begin(), current_.end(), e, EntryAfter{});
+    // Equal-time entries all have smaller seqs, so they sit just behind.
+    const bool new_time = it == current_.end() || it->at != e.at;
+    current_.insert(it, e);
     ++bucketed_;
+    count_served(1, new_time ? 1 : 0);
   } else {
     place(e);
   }
@@ -131,13 +140,29 @@ void CalendarQueue::load_dial() {
   free_ = heads_[b];
   heads_[b] = kNil;
   occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  std::sort(current_.begin(), current_.end(), entry_after);
+  // The width rule keeps a settled bucket to a few entries, and a list
+  // holds its newest push first, so `current_` is short and often already
+  // descending: a one-entry bucket needs nothing, a small one an insertion
+  // sort that rarely moves an entry.
+  const std::size_t size = current_.size();
+  if (size > kInsertionSortMax) [[unlikely]] {
+    std::sort(current_.begin(), current_.end(), EntryAfter{});
+    return;
+  }
+  for (std::size_t i = 1; i < size; ++i) {
+    const EventEntry e = current_[i];
+    std::size_t j = i;
+    for (; j > 0 && entry_before(current_[j - 1], e); --j) {
+      current_[j] = current_[j - 1];
+    }
+    current_[j] = e;
+  }
 }
 
 void CalendarQueue::migrate_overflow() {
   const std::uint64_t horizon = horizon_vb();
   while (overflow_top_vb_ < horizon) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), entry_after);
+    std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
     link(overflow_top_vb_, overflow_.back());
     overflow_.pop_back();
     ++bucketed_;
@@ -155,8 +180,20 @@ const EventEntry* CalendarQueue::settle() {
   dial_vb_ = bucketed_ == 0 ? overflow_top_vb_ : next_occupied_vb();
   if (overflow_top_vb_ < horizon_vb()) migrate_overflow();
   load_dial();
+  ++window_.settles;
+  std::uint64_t times = 1;
+  for (std::size_t i = 1; i < current_.size(); ++i) {
+    times += current_[i].at != current_[i - 1].at ? 1 : 0;
+  }
+  count_served(current_.size(), times);
   assert(!current_.empty());
   return &current_.back();
+}
+
+void CalendarQueue::count_served(std::uint64_t entries, std::uint64_t times) {
+  window_.entries += entries;
+  window_.times += times;
+  if (window_.entries >= kWindowEntries) [[unlikely]] retune_width();
 }
 
 template <typename F>
@@ -196,38 +233,37 @@ void CalendarQueue::rebuild(std::size_t new_buckets, int new_shift,
   dial_vb_ = all.empty() ? 0 : vbucket(min_at);
   for (const EventEntry& e : all) place(e);
   load_dial();
+  window_ = {};
   ++resizes_;
 }
 
 void CalendarQueue::resize_to_fit() {
-  // Bucket count ~ near-future population (so occupancy stays O(1) per
-  // bucket); width ~ the mean inter-event gap of the BUCKETED entries only
-  // (the dial bucket included) -- far-future outliers (RTOs, diurnal
-  // ramps) live in the overflow rung and must not stretch the ring's width.
-  // The ring only ever grows (the same plateau-at-peak discipline as the
-  // slot pool and the node pool), so repeated drain/refill cycles resize
-  // once and then run allocation-free. Everything here is a function of
-  // queue content only: deterministic.
-  const std::size_t want = std::clamp(2 * bucketed_, kMinBuckets, kMaxBuckets);
-  const std::size_t new_buckets = std::max(std::bit_ceil(want), num_buckets());
+  // Twice as many bucketed entries as buckets: lengthen the ring at the same
+  // width, so the horizon grows with the near-future population. Choosing
+  // the width is retune_width's job alone.
+  rebuild(std::bit_ceil(std::min(2 * bucketed_, kMaxBuckets)), shift_);
+}
 
-  Time min_at = kTimeMax;
-  Time max_at = 0;
-  const auto extend = [&](const EventEntry& e) {
-    min_at = std::min(min_at, e.at);
-    max_at = std::max(max_at, e.at);
-  };
-  for (const EventEntry& e : current_) extend(e);
-  for_each_listed(extend);
-
-  int new_shift = shift_;
-  const std::size_t n = bucketed_;
-  if (n > 1 && max_at > min_at) {
-    const std::uint64_t gap =
-        static_cast<std::uint64_t>(max_at - min_at) / (n - 1);
-    new_shift = std::clamp(static_cast<int>(std::bit_width(gap)), 0, 40);
+void CalendarQueue::retune_width() {
+  // Narrowing needs distinct times to split, widening needs few entries to
+  // merge; times <= entries, so no window asks for both. On a steady stream
+  // neither step invites the other back: half the width keeps at least
+  // half the times per settle (> 3, so > 2 entries), and twice the width at
+  // most doubles the entries per settle (< 4, so < 6 times). A window with
+  // no settle at all -- one dial bucket took every push -- narrows.
+  //
+  // Neither step moves the horizon, so neither runs at a ring-size limit.
+  // That bounds the width by the horizon the population rule set: a queue
+  // that keeps only one or two events pending serves about one per settle
+  // at any width, and must not widen without end.
+  const bool narrow = window_.times > kNarrowAbove * window_.settles;
+  const bool widen = window_.entries < kWidenBelow * window_.settles;
+  window_ = {};
+  if (narrow && shift_ > 0 && num_buckets() < kMaxBuckets) {
+    rebuild(2 * num_buckets(), shift_ - 1);
+  } else if (widen && num_buckets() > kMinBuckets) {
+    rebuild(num_buckets() / 2, shift_ + 1);
   }
-  rebuild(new_buckets, new_shift);
 }
 
 }  // namespace tcn::sim

@@ -129,20 +129,46 @@ class BinaryHeapQueue {
 /// horizon admits. Those have virtual buckets in [D + N, D' + N), so they
 /// land in buckets the dial has just passed: the jump stops exactly where
 /// stepping bucket by bucket would have, having migrated the same entries.
-/// Pushing an entry behind the dial (possible only after run(until)
-/// returned with events still pending) rewinds via a full rebuild -- rare
-/// and O(n). Bucket count and width adapt by rebuild when bucketed
-/// occupancy (`current_` included) exceeds 2*num_buckets; the ring only
-/// grows, and the node pool, `current_` and the overflow rung each plateau
-/// at their peak population, so steady state performs no allocations.
-/// resizes() counts rebuilds for observability. All sizing decisions
-/// depend only on queue content, never on the host, so runs stay
-/// deterministic -- and pop order is exact (at, seq) regardless of sizing,
-/// so even a bad width heuristic can only cost speed, not correctness.
+/// Loading the dial bucket sorts nothing out of line: a one-entry bucket
+/// moves straight into `current_`, a small one is insertion-sorted with the
+/// comparator inlined. Pushing an entry behind the dial (possible only after
+/// run(until) returned with events still pending) rewinds via a full
+/// rebuild -- rare and O(n).
+///
+/// Two rules size the ring, each by a rebuild that resizes() counts:
+///   - Width follows dial occupancy (Brown's rule: a bucket near the head
+///     holds a few events). The queue counts the entries each dial bucket
+///     serves -- those its settle loads plus those pushed into it while it
+///     drains -- and the distinct times among them. Every kWindowEntries
+///     served entries, more than kNarrowAbove distinct times per settle
+///     halves the width; fewer than kWidenBelow entries per settle doubles
+///     it. (Equal-time entries, such as a burst fanned out at one instant,
+///     count as one time: no width splits them, so they must not drive the
+///     width toward zero. Pushes into the settled bucket count because they
+///     are part of its load: a wide bucket fed by pushes would otherwise
+///     read as nearly empty and widen further.)
+///     The bucket count doubles or halves with the width, so the horizon
+///     stays where it was and a widening ring shrinks; at kMinBuckets or
+///     kMaxBuckets the width stays too.
+///   - Length follows the population: when the bucketed entries
+///     (`current_` included) exceed 2*num_buckets, the ring grows to twice
+///     their number at the same width, which lengthens the horizon.
+/// The node pool, `current_` and the overflow rung each plateau at their
+/// peak population, so steady state performs no allocations. All sizing
+/// decisions depend only on queue content and the sequence of operations,
+/// never on the host, so runs stay deterministic -- and pop order is exact
+/// (at, seq) regardless of sizing, so even a bad width can only cost speed,
+/// not correctness.
 class CalendarQueue {
  public:
   static constexpr std::size_t kMinBuckets = 64;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
+  /// Served entries per occupancy window; the average distinct times per
+  /// settle above which the width halves, and entries per settle below
+  /// which it doubles.
+  static constexpr std::uint64_t kWindowEntries = 16384;
+  static constexpr std::uint64_t kNarrowAbove = 6;
+  static constexpr std::uint64_t kWidenBelow = 2;
 
   CalendarQueue();
 
@@ -163,8 +189,8 @@ class CalendarQueue {
   }
 
   /// Earliest entry, or nullptr when empty. Settles the dial (jumps to the
-  /// next occupied bucket, migrates newly eligible overflow entries, sorts
-  /// its entries into `current_`) so a following pop() is O(1).
+  /// next occupied bucket, migrates newly eligible overflow entries, loads
+  /// its entries into `current_` in order) so a following pop() is O(1).
   [[nodiscard]] const EventEntry* peek() {
     if (!current_.empty()) [[likely]] return &current_.back();
     return settle();
@@ -197,6 +223,9 @@ class CalendarQueue {
  private:
   static constexpr std::uint32_t kNil = UINT32_MAX;
   static constexpr std::uint64_t kNoOverflow = UINT64_MAX;
+  /// Dial buckets up to this size are insertion-sorted; larger ones go
+  /// through std::sort.
+  static constexpr std::size_t kInsertionSortMax = 32;
 
   /// A bucket-list cell in the shared pool; `next` links the bucket's list
   /// while in use and the free list otherwise.
@@ -233,12 +262,16 @@ class CalendarQueue {
   void push_slow(const EventEntry& e);
   /// With `current_` empty: jump the dial to the next occupied bucket (or
   /// the overflow top when the ring is empty), migrate, and load the dial
-  /// bucket into `current_`. Returns the earliest entry, nullptr if empty.
+  /// bucket into `current_`; counts the load toward the occupancy window.
+  /// Returns the earliest entry, nullptr if empty.
   const EventEntry* settle();
+  /// Add entries the dial bucket served, `times` of them at new times, to
+  /// the occupancy window, and retune the width when the window is full.
+  void count_served(std::uint64_t entries, std::uint64_t times);
   /// Virtual bucket of the first occupied list at or after the dial,
   /// wrapping around the ring. Precondition: some list is non-empty.
   [[nodiscard]] std::uint64_t next_occupied_vb() const noexcept;
-  /// Move the dial bucket's list into `current_` and sort it descending.
+  /// Move the dial bucket's list into `current_`, sorted descending.
   /// Precondition: that list is non-empty.
   void load_dial();
   /// Link `e` into its bucket list or the overflow rung (no sizing checks).
@@ -251,12 +284,15 @@ class CalendarQueue {
   template <typename F>
   void for_each_listed(F&& f) const;
   /// Re-bucket everything (plus `extra`, if given) with `new_buckets`
-  /// buckets of width 2^new_shift, dial at the earliest entry. Counts as
-  /// one resize.
+  /// buckets of width 2^new_shift, dial at the earliest entry, and start a
+  /// new occupancy window. Counts as one resize.
   void rebuild(std::size_t new_buckets, int new_shift,
                const EventEntry* extra = nullptr);
-  /// Pick width/bucket-count for the current population and rebuild.
+  /// Length rule: grow the ring to twice the bucketed population.
   void resize_to_fit();
+  /// Width rule, at the end of an occupancy window: halve or double the
+  /// width (and scale the bucket count to keep the horizon), or keep both.
+  void retune_width();
 
   std::vector<EventEntry> current_;    // dial bucket, sorted descending
   std::vector<std::uint32_t> heads_;   // per-bucket list head, kNil if empty
@@ -271,6 +307,13 @@ class CalendarQueue {
   std::uint64_t overflow_top_vb_ = kNoOverflow;
   std::size_t size_ = 0;               // bucketed_ + overflow_.size()
   std::uint64_t resizes_ = 0;
+  /// What the dial buckets of the current occupancy window served.
+  struct Window {
+    std::uint64_t settles = 0;
+    std::uint64_t entries = 0;
+    std::uint64_t times = 0;  ///< distinct times among the entries
+  };
+  Window window_;
 };
 
 }  // namespace tcn::sim

@@ -18,7 +18,10 @@
 // pending-event count, and so does the calendar queue. Its buckets are
 // lists over one node pool, so each of its arrays (node pool, dial bucket,
 // overflow rung) is bounded by the peak pending count, plus a 4-byte head
-// per bucket -- not by every bucket's own largest-ever burst.
+// per bucket -- not by every bucket's own largest-ever burst. The queue
+// picks its bucket width from what each dial settle loads, so a settled
+// bucket holds a few events on the sparse star and the dense leaf-spine
+// alike, and it loads them without a sort call.
 //
 // Cancellation is O(1) via slot generations: an EventId encodes (slot,
 // generation); cancel() compares the ticket against the slot's current

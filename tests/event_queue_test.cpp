@@ -299,21 +299,124 @@ TEST(CalendarQueue, ResizesWhenPopulationOutgrowsRing) {
   }
 }
 
-TEST(CalendarQueue, RingOnlyGrowsAcrossDrainRefillCycles) {
+// A drain/refill workload settles its geometry during the first cycle: the
+// fill grows the ring, and the drain -- 8 distinct times per settle --
+// halves the width once. Later cycles load 4 per settle and rebuild
+// nothing.
+TEST(CalendarQueue, DrainRefillCyclesStopResizingAfterTheFirst) {
   CalendarQueue q;
+  const int initial_shift = q.shift();
+  const Time gap = (Time{1} << initial_shift) / 8;
   std::uint64_t seq = 1;
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    for (std::uint64_t i = 0; i < 1'000; ++i) {
-      q.push(EventEntry{static_cast<Time>(i * 64), seq++, 0, 0});
+  const auto cycle = [&] {
+    for (std::uint64_t i = 0; i < 40'000; ++i) {
+      q.push(EventEntry{static_cast<Time>(i) * gap, seq++, 0, 0});
     }
-    while (!q.empty()) q.pop();
-  }
-  // All growth happened in the first cycle; later cycles reuse the plateau.
+    Time prev = -1;
+    while (!q.empty()) {
+      const EventEntry e = q.pop();
+      ASSERT_GT(e.at, prev);
+      prev = e.at;
+    }
+  };
+  cycle();
   const std::uint64_t after_first = q.resizes();
-  for (std::uint64_t i = 0; i < 1'000; ++i) {
-    q.push(EventEntry{static_cast<Time>(i * 64), seq++, 0, 0});
-  }
+  EXPECT_EQ(q.shift(), initial_shift - 1);
+  for (int c = 0; c < 4; ++c) cycle();
   EXPECT_EQ(q.resizes(), after_first);
+  EXPECT_EQ(q.shift(), initial_shift - 1);
+}
+
+// The width follows what the dial loads, and the binary heap checks every
+// pop. The clustered phase holds 80 bursts of 12 equal-time entries (a
+// leaf's uplinks draining in lockstep) within 20 us of the clock: about 8
+// bursts share a bucket of the initial width, so the width halves -- and
+// halves only once, though every settle still loads at least one whole
+// burst, which no width can split. The sparse phase holds 50 lone entries
+// spread over 5 ms: each settle loads one, so the width doubles window after
+// window and the ring shrinks, keeping its horizon, until it is as short as
+// a ring gets. In each phase the resize count stops growing once the
+// geometry fits the stream.
+TEST(CalendarQueue, WidthFollowsDialOccupancy) {
+  std::mt19937_64 rng(0x0CC);
+  Twin q;
+  Time clock = 0;
+  const int initial_shift = q.cal.shift();
+  const auto pop = [&] {
+    clock = q.heap.peek()->at;
+    return q.pop_agrees();
+  };
+  const auto burst = [&] {
+    const Time at = clock + static_cast<Time>(rng() % 20'000);
+    for (int i = 0; i < 12; ++i) q.push(at);
+  };
+  const auto clustered = [&](int bursts) {
+    for (int b = 0; b < bursts; ++b) {
+      for (int i = 0; i < 12; ++i) {
+        if (!pop()) return false;
+      }
+      burst();
+    }
+    return true;
+  };
+  const auto lone = [&] { q.push(clock + static_cast<Time>(rng() % 5'000'000)); };
+  const auto sparse = [&](int pops) {
+    for (int i = 0; i < pops; ++i) {
+      if (!pop()) return false;
+      lone();
+    }
+    return true;
+  };
+
+  for (int b = 0; b < 80; ++b) burst();
+  ASSERT_TRUE(clustered(40'000));
+  const int clustered_shift = q.cal.shift();
+  EXPECT_EQ(clustered_shift, initial_shift - 1);
+  std::uint64_t resizes = q.cal.resizes();
+  ASSERT_TRUE(clustered(40'000));
+  EXPECT_EQ(q.cal.resizes(), resizes);
+  EXPECT_EQ(q.cal.shift(), clustered_shift);
+
+  const std::size_t clustered_horizon = q.cal.num_buckets()
+                                        << clustered_shift;
+  ASSERT_TRUE(q.drain_agrees());
+  for (int i = 0; i < 50; ++i) lone();
+  ASSERT_TRUE(sparse(100'000));
+  EXPECT_GT(q.cal.shift(), clustered_shift + 2);
+  EXPECT_EQ(q.cal.num_buckets(), CalendarQueue::kMinBuckets);
+  EXPECT_EQ(q.cal.num_buckets() << q.cal.shift(), clustered_horizon);
+  resizes = q.cal.resizes();
+  ASSERT_TRUE(sparse(60'000));
+  EXPECT_EQ(q.cal.resizes(), resizes);
+  EXPECT_TRUE(q.drain_agrees());
+}
+
+// Entries pushed into the bucket under the dial are part of its load. A
+// chain of events 64 ns apart (each popped event schedules the next, as a
+// port's transmissions do) loads one entry per settle and pushes the rest
+// of each bucket into it while it drains: 16 per bucket of the initial
+// width, then 8, so the width halves twice and the ring doubles twice.
+// Counting only what settles load would read one entry per settle and
+// widen the ring down to its minimum instead.
+TEST(CalendarQueue, PushesIntoTheDialBucketCountTowardItsLoad) {
+  Twin q;
+  const int initial_shift = q.cal.shift();
+  // Grow the ring past its minimum, so that either step is open to it.
+  for (int i = 0; i < 1'000; ++i) q.push(static_cast<Time>(i) * 50);
+  ASSERT_TRUE(q.drain_agrees());
+  const std::size_t ring = q.cal.num_buckets();
+  ASSERT_GT(ring, CalendarQueue::kMinBuckets);
+
+  Time clock = 1'000'000;
+  q.push(clock);
+  q.push(clock + kSecond);  // keeps the queue from emptying
+  for (int i = 0; i < 100'000; ++i) {
+    clock = q.heap.peek()->at;
+    ASSERT_TRUE(q.pop_agrees());
+    q.push(clock + 64);
+  }
+  EXPECT_EQ(q.cal.shift(), initial_shift - 2);
+  EXPECT_EQ(q.cal.num_buckets(), 4 * ring);
 }
 
 TEST(CalendarQueue, FarFutureEntriesParkInOverflowThenMigrate) {
@@ -403,9 +506,10 @@ TEST(CalendarQueue, StorageIsBoundedByThePendingSet) {
 // The sizing policy is part of the output: calendar_resizes is a reported
 // and journaled run counter, and the bucket count and width decide what
 // overflows. This pins (resizes, buckets, shift, overflow size) after each
-// phase of one fixed stream -- dense growth, a hold with far-future timers,
-// sparse growth, a rewind behind a settled dial, and a re-based refill --
-// to the values the per-bucket-vector calendar produced.
+// phase of one fixed stream -- dense growth, a long hold with far-future
+// timers (the width rule narrows), sparse growth, a long sparse hold (it
+// widens, shrinking the ring), a rewind behind a settled dial, and a
+// re-based refill.
 TEST(CalendarQueue, SizingPolicyIsPinned) {
   std::mt19937_64 rng(0xCA1E);
   CalendarQueue q;
@@ -426,7 +530,7 @@ TEST(CalendarQueue, SizingPolicyIsPinned) {
   }
   snap();
   // Hold at ~3,000 with a far-future timer every 50 pops.
-  for (int i = 0; i < 20'000; ++i) {
+  for (int i = 0; i < 150'000; ++i) {
     pop();
     push(clock + static_cast<Time>(rng() % 300'000));
     if (i % 50 == 0) {
@@ -438,6 +542,12 @@ TEST(CalendarQueue, SizingPolicyIsPinned) {
   for (int i = 0; i < 9'000; ++i) {
     push(clock + static_cast<Time>(rng() % 24'000'000));
     if (i % 3 == 0) pop();
+  }
+  snap();
+  // Hold there.
+  for (int i = 0; i < 40'000; ++i) {
+    pop();
+    push(clock + static_cast<Time>(rng() % 24'000'000));
   }
   snap();
   // Drain to 100 entries, then push behind the settled dial: a rewind.
@@ -456,8 +566,8 @@ TEST(CalendarQueue, SizingPolicyIsPinned) {
   snap();
 
   const std::vector<Shape> want = {
-      {1, 512, 7, 2345},  {2, 4096, 6, 455}, {2, 4096, 6, 9220},
-      {3, 4096, 6, 100},  {4, 32768, 3, 0},
+      {2, 4096, 10, 0},    {4, 16384, 8, 3000}, {4, 16384, 8, 10415},
+      {6, 4096, 10, 9083}, {8, 2048, 11, 85},   {9, 16384, 11, 0},
   };
   EXPECT_EQ(got, want);
 }

@@ -348,12 +348,55 @@ TEST(SwitchTest, UnroutedPacketsAreCountedAndDropped) {
 }
 
 TEST(SwitchTest, DscpClassifierClampsToQueueCount) {
-  const auto c = dscp_classifier();
-  auto p = make_test_packet(100, /*dscp=*/6);
-  EXPECT_EQ(c(*p, 8), 6u);
-  EXPECT_EQ(c(*p, 4), 3u);  // clamped
-  p->dscp = 0;
-  EXPECT_EQ(c(*p, 4), 0u);
+  // Records the queue each enqueued packet lands in, keyed by its DSCP.
+  struct EnqueueLog final : PortObserver {
+    std::vector<std::pair<std::uint8_t, std::size_t>> seen;
+    void on_event(const TraceRecord& r) override {
+      if (r.event == TraceEvent::kEnqueue) seen.emplace_back(r.dscp, r.queue);
+    }
+  };
+  sim::Simulator s;
+  Switch sw(s, "sw");
+  CaptureNode sink;
+  PortConfig cfg;
+  cfg.num_queues = 4;
+  const auto port = sw.add_port(cfg, std::make_unique<FifoScheduler>(),
+                                std::make_unique<NullMarker>());
+  sw.connect(port, &sink, 0);
+  sw.add_route(1, {port});
+  EnqueueLog log;
+  sw.port(port).set_observer(&log);
+
+  for (const std::uint8_t dscp : {0, 3, 6}) {
+    auto p = make_test_packet(100, dscp);
+    p->dst = 1;
+    sw.receive(std::move(p), 0);
+  }
+  s.run();
+  const std::vector<std::pair<std::uint8_t, std::size_t>> want = {
+      {0, 0}, {3, 3}, {6, 3}};  // dscp 6 clamps to the last queue
+  EXPECT_EQ(log.seen, want);
+  EXPECT_EQ(sink.packets.size(), 3u);
+}
+
+TEST(SwitchTest, AddRouteRejectsUnboundedAddressAndMissingPort) {
+  sim::Simulator s;
+  Switch sw(s, "sw");
+  PortConfig cfg;
+  const auto port = sw.add_port(cfg, std::make_unique<FifoScheduler>(),
+                                std::make_unique<NullMarker>());
+  EXPECT_THROW(sw.add_route(Switch::kMaxAddress, {port}),
+               std::invalid_argument);
+  EXPECT_THROW(sw.add_route(UINT32_MAX, {port}), std::invalid_argument);
+  EXPECT_THROW(sw.add_route(1, {port + 1}), std::invalid_argument);
+  sw.add_route(5, {port});
+  // Below the table's end but never routed, and past its end.
+  for (const std::uint32_t dst : {3u, 6u, 1000u}) {
+    auto p = make_test_packet(100);
+    p->dst = dst;
+    sw.receive(std::move(p), 0);
+  }
+  EXPECT_EQ(sw.unrouted(), 3u);
 }
 
 TEST(SwitchTest, EcmpSpreadsFlowsButPinsEachFlow) {
