@@ -8,15 +8,14 @@
 // tcn-bench-1 layout so CI can track the perf trajectory next to
 // BENCH_suite.json. --gate checks the two in-binary ratios below (calendar
 // queue vs binary heap, time-series sampler on vs off, the latter timed as
-// an interleaved pair); the sampler tick's own per-channel cost is
-// reported but not gated.
+// an interleaved pair); the metrics on/off pair, timed the same way, and
+// the sampler tick's own per-channel cost are reported but not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -336,50 +335,66 @@ class SinkNode final : public net::Node {
 
 constexpr int kPortBatch = 256;
 
-/// Full enqueue->schedule->serialize->deliver pipeline through one Port.
-/// `with_metrics` installs a MetricsRegistry scope for the port's lifetime,
-/// so the same binary measures observability compiled-in-but-disabled (the
-/// null-handle one-branch discipline) against fully enabled publishing; the
-/// disabled/enabled ratio printed at the end is the <3%-overhead gate for
-/// the disabled case.
-BenchResult bench_port_pipeline(std::string label, bool with_metrics,
-                                double min_secs) {
+/// One port on its own simulator, on the heap: on the stack its distance to
+/// the heap data it touches moves with address-space randomization, and an
+/// A/A pair of identical rigs then read up to 6.7% apart. Built this way,
+/// A/A pairs read within 0.6%.
+struct PortRig {
+  sim::Simulator sim;
+  SinkNode sink;
+  std::unique_ptr<net::Port> port;
+};
+
+/// A rig whose port sees whatever obs scopes are installed right now.
+std::unique_ptr<PortRig> build_port_rig() {
+  net::PortConfig cfg;
+  cfg.rate_bps = 10'000'000'000ULL;
+  auto rig = std::make_unique<PortRig>();
+  rig->port = std::make_unique<net::Port>(
+      rig->sim, "bench.p0", cfg, std::make_unique<net::FifoScheduler>(),
+      std::make_unique<net::NullMarker>());
+  rig->port->connect(&rig->sink, 0);
+  return rig;
+}
+
+/// Full enqueue->schedule->serialize->deliver pipeline for one batch.
+void run_port_batch(PortRig& rig) {
+  for (int i = 0; i < kPortBatch; ++i) {
+    auto p = net::make_packet();
+    p->size = 1500;
+    rig.port->enqueue(std::move(p), 0);
+  }
+  rig.sim.run();
+}
+
+/// The port pipeline with metrics off and on: the second rig is built
+/// inside a MetricsRegistry scope, so its port resolves the registry's
+/// handles at construction and publishes on every packet. The first is the
+/// production default: metrics compiled in, no registry installed, every
+/// publish site one never-taken branch. Batches alternate inside one
+/// measure_pair() loop; the pair is reported, not gated.
+PairResult bench_port_metrics(double min_secs) {
   net::PacketUidScope uids;
   net::PacketPool pool;
   net::PacketPool::Scope scope(pool);
   obs::MetricsRegistry registry;
-  std::optional<obs::MetricsRegistry::Scope> metrics_scope;
-  if (with_metrics) metrics_scope.emplace(registry);
-
-  sim::Simulator s;
-  net::PortConfig cfg;
-  cfg.rate_bps = 10'000'000'000ULL;
-  net::Port port(s, "bench.p0", cfg, std::make_unique<net::FifoScheduler>(),
-                 std::make_unique<net::NullMarker>());
-  SinkNode sink;
-  port.connect(&sink, 0);
-  return measure(
-      std::move(label), kPortBatch,
-      [&] {
-        for (int i = 0; i < kPortBatch; ++i) {
-          auto p = net::make_packet();
-          p->size = 1500;
-          port.enqueue(std::move(p), 0);
-        }
-        s.run();
-      },
-      min_secs);
+  std::unique_ptr<PortRig> on;
+  {
+    obs::MetricsRegistry::Scope metrics_scope(registry);
+    on = build_port_rig();
+  }
+  const std::unique_ptr<PortRig> off = build_port_rig();
+  return measure_pair(
+      "port_pipeline_obs_off", "port_pipeline_obs_on", kPortBatch,
+      [&] { run_port_batch(*off); }, [&] { run_port_batch(*on); }, min_secs);
 }
 
-/// The obs_off pipeline again, but against the time-series sampler instead
-/// of the metrics registry: two identical ports on their own simulators,
-/// one built inside a TimeSeries scope (so it resolves per-queue channels
-/// at construction) whose sampler is re-armed before every batch. Their
-/// batches alternate inside one measure_pair() loop, and the paired
-/// on/off slowdown is the CI gate for the sampler's enabled cost -- the
-/// per-dequeue channel accumulation plus the amortized 100us tick events
-/// must stay within 5% of the bare pipeline; disabled it is the same
-/// null-handle zero as the metrics path.
+/// The same pair against the time-series sampler instead of the metrics
+/// registry: the second rig is built inside a TimeSeries scope (so its port
+/// registers a channel per queue) and its sampler is re-armed before every
+/// batch. The paired on/off slowdown is the CI gate for the sampler's
+/// enabled cost -- the amortized 100us tick events must stay within 5% of
+/// the bare pipeline, as the channels do no work per packet.
 PairResult bench_port_timeseries(double min_secs) {
   net::PacketUidScope uids;
   net::PacketPool pool;
@@ -387,46 +402,18 @@ PairResult bench_port_timeseries(double min_secs) {
   obs::TimeSeriesConfig ts_cfg;
   ts_cfg.interval = 100 * sim::kMicrosecond;
   obs::TimeSeries series(ts_cfg);
-
-  // Both rigs live on the heap: on the stack their distance to the heap
-  // data they touch moves with address-space randomization, and an
-  // unsampled/unsampled (A/A) pair then read up to 6.7% apart. Built this
-  // way, A/A pairs read within 0.6%.
-  struct Rig {
-    sim::Simulator sim;
-    SinkNode sink;
-    std::unique_ptr<net::Port> port;
-  };
-  net::PortConfig cfg;
-  cfg.rate_bps = 10'000'000'000ULL;
-  const auto build = [&] {
-    auto rig = std::make_unique<Rig>();
-    rig->port = std::make_unique<net::Port>(
-        rig->sim, "bench.p2", cfg, std::make_unique<net::FifoScheduler>(),
-        std::make_unique<net::NullMarker>());
-    rig->port->connect(&rig->sink, 0);
-    return rig;
-  };
-  std::unique_ptr<Rig> on;
+  std::unique_ptr<PortRig> on;
   {
     obs::TimeSeries::Scope series_scope(series);
-    on = build();
+    on = build_port_rig();
   }
-  const std::unique_ptr<Rig> off = build();
-  const auto batch = [](Rig& rig) {
-    for (int i = 0; i < kPortBatch; ++i) {
-      auto p = net::make_packet();
-      p->size = 1500;
-      rig.port->enqueue(std::move(p), 0);
-    }
-    rig.sim.run();
-  };
+  const std::unique_ptr<PortRig> off = build_port_rig();
   return measure_pair(
       "port_pipeline_timeseries_off", "port_pipeline_timeseries_on",
-      kPortBatch, [&] { batch(*off); },
+      kPortBatch, [&] { run_port_batch(*off); },
       [&] {
         series.start(on->sim);  // the sampler stops when the sim drains
-        batch(*on);
+        run_port_batch(*on);
       },
       min_secs);
 }
@@ -539,7 +526,7 @@ BenchResult bench_sched(std::string label, MakeSched make, double min_secs) {
             auto p = net::make_packet();
             p->size = 1500;
             net::Packet& ref = *p;
-            queues[q].push(std::move(p));
+            queues[q].push(std::move(p), round * 10'000);
             sched->on_enqueue(q, ref, round * 10'000);
           }
         }
@@ -547,7 +534,7 @@ BenchResult bench_sched(std::string label, MakeSched make, double min_secs) {
         for (int i = 0; i < kSchedRounds * static_cast<int>(kSchedQueues);
              ++i) {
           const auto q = sched->select(i * 1'200);
-          auto p = queues[q].pop();
+          auto p = queues[q].pop(i * 1'200);
           sched->on_dequeue(q, *p, i * 1'200);
           sink += p->uid;
         }
@@ -647,10 +634,9 @@ int main(int argc, char** argv) {
   results.push_back(bench_timer_chain(min_secs));
   results.push_back(bench_packet_pooled(min_secs));
   results.push_back(bench_flow_slab(min_secs));
-  results.push_back(
-      bench_port_pipeline("port_pipeline_obs_off", false, min_secs));
-  results.push_back(
-      bench_port_pipeline("port_pipeline_obs_on", true, min_secs));
+  const PairResult metrics = bench_port_metrics(min_secs);
+  results.push_back(metrics.a);
+  results.push_back(metrics.b);
   const PairResult series = bench_port_timeseries(min_secs);
   results.push_back(series.a);
   results.push_back(series.b);
@@ -710,15 +696,8 @@ int main(int argc, char** argv) {
       if (r.label == label) return &r;
     return nullptr;
   };
-  const auto* port_off = find("port_pipeline_obs_off");
-  const auto* port_on = find("port_pipeline_obs_on");
-  if (port_off && port_on && port_off->ops_per_sec() > 0) {
-    // obs_off is the production default: metrics compiled in, no registry
-    // installed, every publish site one never-taken branch.
-    std::printf("port path metrics overhead (enabled vs disabled):     %.1f%%\n",
-                (port_off->ops_per_sec() / port_on->ops_per_sec() - 1.0) *
-                    100.0);
-  }
+  std::printf("port path metrics overhead (enabled vs disabled):     %.1f%%\n",
+              (metrics.slowdown - 1.0) * 100.0);
   const double timeseries_overhead = series.slowdown - 1.0;
   std::printf("port path time-series overhead (sampler on vs off):   %.1f%%\n",
               timeseries_overhead * 100.0);
@@ -741,9 +720,9 @@ int main(int argc, char** argv) {
   if (gate) {
     // CI acceptance: the calendar queue must beat the in-binary heap
     // baseline by >= 1.5x on the event path (same driver, same entries --
-    // pure container structure). The metrics ratio is reported above but
-    // not gated: it rides on a whole-pipeline denominator where run-to-run
-    // noise on shared CI boxes exceeds the effect being measured.
+    // pure container structure). The metrics pair is reported above but
+    // not gated: enabled metrics publish on every packet by design, and no
+    // budget has been set for that cost.
     constexpr double kEventQueueGate = 1.5;
     if (event_queue_ratio < kEventQueueGate) {
       std::fprintf(stderr,
@@ -754,11 +733,11 @@ int main(int argc, char** argv) {
     }
     std::printf("gate ok: event queue ratio %.2fx >= %.2fx\n",
                 event_queue_ratio, kEventQueueGate);
-    // Enabled-sampler acceptance: per-dequeue channel accumulation plus the
-    // amortized tick events must cost <= 5% of the bare port pipeline. The
-    // pair shares one driver and differs only in the installed scope, so
-    // the ratio isolates the sampler (same reasoning as the event gate),
-    // and its calls alternate, so host drift cannot move it.
+    // Enabled-sampler acceptance: the amortized tick events must cost <= 5%
+    // of the bare port pipeline. The pair shares one batch loop and differs
+    // only in the installed scope, so the ratio isolates the sampler (same
+    // reasoning as the event gate), and its calls alternate, so host drift
+    // cannot move it.
     constexpr double kTimeSeriesOverheadGate = 0.05;
     if (timeseries_overhead > kTimeSeriesOverheadGate) {
       std::fprintf(stderr,

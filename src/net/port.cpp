@@ -20,6 +20,7 @@
 #include "aqm/red_prob.hpp"
 #include "aqm/tcn.hpp"
 #include "net/fifo_scheduler.hpp"
+#include "obs/timeseries.hpp"
 #include "sched/aifo.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/pifo.hpp"
@@ -65,8 +66,7 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
       sched_(std::move(sched)),
       marker_(std::move(marker)),
       queues_(cfg.num_queues),
-      buffer_limit_(cfg.buffer_bytes),
-      queue_drops_(cfg.num_queues, 0) {
+      buffer_limit_(cfg.buffer_bytes) {
   if (cfg.rate_bps == 0) {
     throw std::invalid_argument("Port: rate_bps must be > 0");
   }
@@ -119,12 +119,16 @@ void Port::resolve_metrics() {
 void Port::resolve_timeseries() {
   obs::TimeSeries* ts = obs::TimeSeries::current();
   if (ts == nullptr) return;
-  series_enabled_ = true;
-  series_.reserve(queues_.size());
   for (std::size_t q = 0; q < queues_.size(); ++q) {
-    series_.push_back(
-        ts->add_channel(name_ + ".q" + std::to_string(q), cfg_.buffer_bytes));
+    ts->add_channel(name_ + ".q" + std::to_string(q), queues_[q],
+                    cfg_.buffer_bytes);
   }
+}
+
+Port::Counters Port::counters() const noexcept {
+  Counters total;
+  for (const PacketQueue& q : queues_) total += q.counters();
+  return total;
 }
 
 void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
@@ -150,8 +154,9 @@ void Port::connect(Node* peer, std::size_t peer_ingress) {
 }
 
 void Port::fault_drop(const Packet& p, std::size_t queue) {
-  ++counters_.fault_drops;
-  counters_.fault_drop_bytes += p.size;
+  QueueCounters& c = queues_[queue].counters();
+  ++c.fault_drops;
+  c.fault_drop_bytes += p.size;
   if (metrics_.enabled) metrics_.drops_fault->inc();
   if (observer_ != nullptr) emit(TraceEvent::kFaultDrop, p, queue);
 }
@@ -174,11 +179,11 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
     fault_drop(*p, queue);
     return;
   }
+  QueueCounters& c = queues_[queue].counters();
   // Shared-buffer admission: tail drop on the port total.
   if (total_bytes_ + p->size > buffer_limit_) {
-    ++counters_.drops;
-    counters_.drop_bytes += p->size;
-    ++queue_drops_[queue];
+    ++c.drops;
+    c.drop_bytes += p->size;
     if (metrics_.enabled) {
       metrics_.drops_buffer->inc();
       metrics_.q_drop[queue]->inc();
@@ -195,21 +200,17 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
       },
       sched_v_);
   if (!admitted) {
-    ++counters_.sched_drops;
-    counters_.sched_drop_bytes += p->size;
+    ++c.sched_drops;
+    c.sched_drop_bytes += p->size;
     if (metrics_.enabled) metrics_.drops_sched->inc();
     if (observer_ != nullptr) emit(TraceEvent::kSchedDrop, *p, queue);
     return;  // packet destroyed
   }
-  p->enqueue_ts = sim_.now();
   total_bytes_ += p->size;
-  ++counters_.enq_packets;
-  counters_.enq_bytes += p->size;
   if (metrics_.enabled) metrics_.q_enq[queue]->inc();
 
   Packet& ref = *p;
-  queues_[queue].push(std::move(p));
-  if (series_enabled_) series_[queue]->on_enqueue(ref.size);
+  queues_[queue].push(std::move(p), sim_.now());
   std::visit([&](auto* s) { s->on_enqueue(queue, ref, sim_.now()); },
              sched_v_);
 
@@ -222,12 +223,11 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
       std::visit([&](auto* m) { return m->on_enqueue(ctx, ref); }, marker_v_);
   if (mark_enq && ref.ect()) {
     ref.ecn = Ecn::kCe;
-    ++counters_.marks;
+    ++c.marks;
     if (metrics_.enabled) {
       metrics_.marks_enqueue->inc();
       metrics_.mark_sojourn->record(0);  // marked on arrival: no queueing yet
     }
-    if (series_enabled_) series_[queue]->on_mark();
     if (observer_ != nullptr) emit(TraceEvent::kMark, ref, queue);
   }
   if (observer_ != nullptr) emit(TraceEvent::kEnqueue, ref, queue);
@@ -242,7 +242,7 @@ void Port::try_transmit() {
       std::visit([&](auto* s) { return s->select(sim_.now()); }, sched_v_);
   assert(q < queues_.size() && !queues_[q].empty());
 
-  PacketPtr p = queues_[q].pop();
+  PacketPtr p = queues_[q].pop(sim_.now());
   total_bytes_ -= p->size;
   std::visit([&](auto* s) { s->on_dequeue(q, *p, sim_.now()); }, sched_v_);
 
@@ -256,12 +256,11 @@ void Port::try_transmit() {
       std::visit([&](auto* m) { return m->on_dequeue(ctx, *p); }, marker_v_);
   if (mark_deq && p->ect()) {
     p->ecn = Ecn::kCe;
-    ++counters_.marks;
+    ++queues_[q].counters().marks;
     if (metrics_.enabled) {
       metrics_.marks_dequeue->inc();
       metrics_.mark_sojourn->record(sojourn);
     }
-    if (series_enabled_) series_[q]->on_mark();
     if (observer_ != nullptr) emit(TraceEvent::kMark, *p, q, sojourn);
   }
   if (metrics_.enabled) {
@@ -272,11 +271,7 @@ void Port::try_transmit() {
     }
     last_dequeue_ = sim_.now();
   }
-  if (series_enabled_) series_[q]->on_dequeue(sojourn, p->size);
   if (observer_ != nullptr) emit(TraceEvent::kDequeue, *p, q, sojourn);
-
-  ++counters_.tx_packets;
-  counters_.tx_bytes += p->size;
 
   const sim::Time tx = sim::transmission_time(p->size, effective_rate_bps_);
   busy_ = true;

@@ -25,7 +25,6 @@
 #include "net/scheduler.hpp"
 #include "net/trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcn::net {
@@ -85,29 +84,13 @@ class Port {
     return buffer_limit_;
   }
 
-  struct Counters {
-    std::uint64_t enq_packets = 0;
-    std::uint64_t enq_bytes = 0;
-    std::uint64_t tx_packets = 0;
-    std::uint64_t tx_bytes = 0;
-    std::uint64_t drops = 0;  ///< shared-buffer tail drops
-    std::uint64_t drop_bytes = 0;
-    std::uint64_t marks = 0;
-    /// Packets blackholed by injected faults (downed link, random loss) --
-    /// reported separately from buffer drops.
-    std::uint64_t fault_drops = 0;
-    std::uint64_t fault_drop_bytes = 0;
-    /// Packets rejected by the scheduler's admission control (e.g. AIFO's
-    /// rank-quantile gate) -- a scheduling decision, not buffer pressure or
-    /// AQM behaviour, so accounted separately from both.
-    std::uint64_t sched_drops = 0;
-    std::uint64_t sched_drop_bytes = 0;
-  };
+  using Counters = QueueCounters;
 
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  /// Drops attributed to the queue the packet was classified into.
-  [[nodiscard]] std::uint64_t queue_drops(std::size_t q) const {
-    return queue_drops_.at(q);
+  /// Totals over the port's queues.
+  [[nodiscard]] Counters counters() const noexcept;
+  /// What happened to queue `q`, the packets it was classified into.
+  [[nodiscard]] const QueueCounters& queue_counters(std::size_t q) const {
+    return queues_.at(q).counters();
   }
   [[nodiscard]] std::uint64_t queue_bytes(std::size_t q) const {
     return queues_[q].bytes();
@@ -174,6 +157,7 @@ class Port {
   /// (std::visit over final classes = direct calls) instead of the vtable.
   SchedulerVariant sched_v_;
   MarkerVariant marker_v_;
+  /// Each queue counts its own events; sampler channels read those counts.
   std::vector<PacketQueue> queues_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t buffer_limit_;
@@ -182,16 +166,8 @@ class Port {
   LossModel* loss_ = nullptr;
   Node* peer_ = nullptr;
   std::size_t peer_ingress_ = 0;
-  Counters counters_;
-  std::vector<std::uint64_t> queue_drops_;
   PortObserver* observer_ = nullptr;
   Metrics metrics_;
-  /// Per-queue time-series channels, resolved once at construction from
-  /// obs::TimeSeries::current() -- same null-handle discipline as Metrics.
-  /// Empty (and series_enabled_ false) when no sampler scope is installed.
-  /// Fed every push and pop, so each channel's depth mirrors its queue.
-  std::vector<obs::TimeSeries::Channel*> series_;
-  bool series_enabled_ = false;
   sim::Time last_dequeue_ = -1;  // -1: no dequeue yet (gap undefined)
 };
 

@@ -1,6 +1,7 @@
 #include "obs/json_value.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -19,6 +20,11 @@ namespace {
 /// into the original text for error messages.
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted. The writers nest at most 7
+  /// levels (a journal line's histogram bucket pair); the limit bounds the
+  /// recursion, so a line of 100,000 '[' is an error, not a stack overflow.
+  static constexpr std::size_t kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
@@ -60,9 +66,15 @@ class JsonParser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type_ = JsonValue::Type::kString;
@@ -253,6 +265,8 @@ class JsonParser {
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
     if (end != tok.c_str() + tok.size()) fail(start, "bad number");
+    // The writer emits non-finite values as null, never as a number.
+    if (std::isinf(d)) fail(start, "number out of double range");
     v.type_ = JsonValue::Type::kDouble;
     v.double_ = d;
     return v;
@@ -260,6 +274,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {

@@ -15,7 +15,9 @@
 //  * object key order is preserved (vector of pairs, no hashing).
 //
 // Re-serializing a parsed document with the same writer code therefore
-// reproduces the original bytes.
+// reproduces the original bytes. What the writer cannot emit is an error:
+// nesting past 64 levels and numbers beyond double range (it writes
+// non-finite values as null).
 #pragma once
 
 #include <cstdint>

@@ -140,15 +140,16 @@ std::vector<SeriesPoint> TimeSeries::Channel::points() const {
 }
 
 void TimeSeries::Channel::sample(sim::Time now) {
+  const net::QueueCounters& c = queue_->counters();
   SeriesPoint pt;
   pt.t = now;
-  pt.depth_bytes = depth_bytes_;
-  pt.depth_packets = depth_packets_;
-  pt.deq_packets = acc_deq_;
-  pt.sojourn_sum_ns = acc_sojourn_;
-  pt.marks = acc_marks_;
-  pt.tx_bytes = acc_tx_bytes_;
-  acc_deq_ = acc_sojourn_ = acc_marks_ = acc_tx_bytes_ = 0;
+  pt.depth_bytes = queue_->bytes();
+  pt.depth_packets = queue_->size();
+  pt.deq_packets = c.tx_packets - last_.tx_packets;
+  pt.sojourn_sum_ns = c.sojourn_ns - last_.sojourn_ns;
+  pt.marks = c.marks - last_.marks;
+  pt.tx_bytes = c.tx_bytes - last_.tx_bytes;
+  last_ = c;
 
   analyzer_.observe(pt);
   if (max_samples_ == 0) return;
@@ -164,9 +165,10 @@ void TimeSeries::Channel::sample(sim::Time now) {
 }
 
 TimeSeries::Channel* TimeSeries::add_channel(std::string name,
+                                             const net::PacketQueue& queue,
                                              std::uint64_t cap_bytes) {
-  channels_.push_back(
-      std::make_unique<Channel>(std::move(name), cap_bytes, cfg_.max_samples));
+  channels_.push_back(std::make_unique<Channel>(std::move(name), queue,
+                                                cap_bytes, cfg_.max_samples));
   return channels_.back().get();
 }
 

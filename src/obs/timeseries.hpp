@@ -6,14 +6,12 @@
 // histogram. obs::TimeSeries adds the missing layer:
 //
 //   - a fixed-interval sampler driven by ONE periodic self-rescheduling
-//     simulator event, off by default and zero-cost when disabled: ports
-//     resolve a Channel* per queue ONCE at construction from the
-//     thread-local TimeSeries::Scope (the exact null-handle discipline of
-//     MetricsRegistry / PortObserver), so each hot-path publish site costs
-//     a single predictable branch when sampling is off
-//   - channel-local state only: the port feeds each channel its queue's
-//     enqueues and dequeues, so the channel mirrors the queue depth itself
-//     and a tick reads nothing outside the channel
+//     simulator event, off by default: ports register a Channel per queue
+//     ONCE at construction from the thread-local TimeSeries::Scope (like
+//     MetricsRegistry), and nothing on the packet path knows it exists
+//   - no per-packet work: each channel points at its net::PacketQueue, and
+//     a tick reads the queue's depth and the growth of its cumulative
+//     counters since the previous tick
 //   - per-channel bounded ring buffers of SeriesPoint (O(max_samples)
 //     memory regardless of run length) for --series-out deep dives; a run
 //     that writes no dump samples with max_samples = 0 and keeps no points
@@ -51,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/queue.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcn::obs {
@@ -163,41 +162,19 @@ class StabilityAnalyzer {
 /// per queue. start() arms the periodic tick.
 class TimeSeries {
  public:
-  /// One sampled (port, queue) stream. The publisher -- the only writer of
-  /// the queue -- calls the on_* hooks from its hot paths behind a single
-  /// null-check branch: every push and pop, so the channel's depth mirrors
-  /// the queue exactly, plus every CE mark. The tick snapshots the depth and
-  /// drains the interval accumulators into a SeriesPoint.
+  /// One sampled (port, queue) stream. It reads its queue only at a tick:
+  /// the depth then, and the dequeues, sojourn, marks and tx bytes counted
+  /// since the previous tick. The queue must outlive the ticks.
   class Channel {
    public:
-    Channel(std::string name, std::uint64_t cap_bytes,
-            std::size_t max_samples)
+    Channel(std::string name, const net::PacketQueue& queue,
+            std::uint64_t cap_bytes, std::size_t max_samples)
         : name_(std::move(name)),
+          queue_(&queue),
+          last_(queue.counters()),
           cap_bytes_(cap_bytes),
           max_samples_(max_samples) {}
 
-    /// A packet of `bytes` joined the queue.
-    void on_enqueue(std::uint64_t bytes) noexcept {
-      depth_bytes_ += bytes;
-      ++depth_packets_;
-    }
-    /// A packet of `bytes` left the queue after `sojourn` in it.
-    void on_dequeue(sim::Time sojourn, std::uint64_t bytes) noexcept {
-      depth_bytes_ -= bytes;
-      --depth_packets_;
-      ++acc_deq_;
-      acc_sojourn_ += static_cast<std::uint64_t>(sojourn < 0 ? 0 : sojourn);
-      acc_tx_bytes_ += bytes;
-    }
-    void on_mark() noexcept { ++acc_marks_; }
-
-    /// The queue's current occupancy, as fed through the hooks.
-    [[nodiscard]] std::uint64_t depth_bytes() const noexcept {
-      return depth_bytes_;
-    }
-    [[nodiscard]] std::uint64_t depth_packets() const noexcept {
-      return depth_packets_;
-    }
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::uint64_t cap_bytes() const noexcept {
       return cap_bytes_;
@@ -215,16 +192,10 @@ class TimeSeries {
     void sample(sim::Time now);
 
     std::string name_;
+    const net::PacketQueue* queue_;
+    net::QueueCounters last_;  // queue_'s counters at the previous tick
     std::uint64_t cap_bytes_;
     std::size_t max_samples_;
-    // Queue occupancy, kept current by on_enqueue/on_dequeue.
-    std::uint64_t depth_bytes_ = 0;
-    std::uint64_t depth_packets_ = 0;
-    // Interval accumulators, drained every tick.
-    std::uint64_t acc_deq_ = 0;
-    std::uint64_t acc_sojourn_ = 0;
-    std::uint64_t acc_marks_ = 0;
-    std::uint64_t acc_tx_bytes_ = 0;
     // Bounded ring: ring_[next_] is the oldest once wrapped_.
     std::vector<SeriesPoint> ring_;
     std::size_t next_ = 0;
@@ -236,9 +207,9 @@ class TimeSeries {
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
 
-  /// Register a channel for an empty queue (stable address for the
-  /// publisher's lifetime).
-  Channel* add_channel(std::string name, std::uint64_t cap_bytes);
+  /// Register a channel that samples `queue` from its counts so far.
+  Channel* add_channel(std::string name, const net::PacketQueue& queue,
+                       std::uint64_t cap_bytes);
 
   /// Arm the periodic tick: first sample at now + interval. Call after the
   /// workload is scheduled. Safe to call again after the sampler stopped
@@ -274,7 +245,7 @@ class TimeSeries {
   };
 
   /// Sampler installed on this thread, or nullptr when sampling is off --
-  /// the one branch publishers pay at construction time.
+  /// the one branch a port pays, at construction time.
   [[nodiscard]] static TimeSeries* current() noexcept { return tls_slot(); }
 
  private:

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/json_value.hpp"
+#include "sim/parse.hpp"
 
 namespace tcn::traffic {
 namespace {
@@ -13,6 +14,16 @@ namespace {
                            const std::string& why) {
   throw std::invalid_argument("trace " + path + ":" + std::to_string(line) +
                               ": " + why);
+}
+
+/// A host address or service class: a 32-bit field, never truncated.
+std::uint32_t as_u32(const obs::JsonValue& v, const char* key) {
+  const std::uint64_t n = v.as_u64();
+  if (n > UINT32_MAX) {
+    throw std::invalid_argument(std::string(key) + " " + std::to_string(n) +
+                                " exceeds 2^32 - 1");
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 }  // namespace
@@ -38,21 +49,21 @@ std::vector<ReplayFlow> load_trace(const std::string& path) {
     ReplayFlow f;
     try {
       const double t_s = rec.at("t_s").as_double();
-      if (t_s < 0) bad_line(path, lineno, "t_s must be >= 0");
-      f.at = sim::from_seconds(t_s);
-      f.src = static_cast<std::uint32_t>(rec.at("src").as_u64());
-      f.dst = static_cast<std::uint32_t>(rec.at("dst").as_u64());
+      if (t_s < 0) throw std::invalid_argument("t_s must be >= 0");
+      f.at = sim::to_time("t_s", t_s, sim::kSecond);
+      f.src = as_u32(rec.at("src"), "src");
+      f.dst = as_u32(rec.at("dst"), "dst");
       f.size = rec.at("size").as_u64();
       if (const obs::JsonValue* s = rec.find("service")) {
-        f.service = static_cast<std::uint32_t>(s->as_u64());
+        f.service = as_u32(*s, "service");
       }
       if (const obs::JsonValue* d = rec.find("dscp")) {
         const std::int64_t dscp = d->as_i64();
-        if (dscp < 0 || dscp > 63) bad_line(path, lineno, "dscp out of range");
+        if (dscp < 0 || dscp > 63) {
+          throw std::invalid_argument("dscp out of range");
+        }
         f.dscp = static_cast<int>(dscp);
       }
-    } catch (const std::invalid_argument&) {
-      throw;
     } catch (const std::exception& e) {
       bad_line(path, lineno, e.what());
     }

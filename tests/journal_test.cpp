@@ -66,6 +66,50 @@ TEST(JsonValue, RejectsMalformedInput) {
   EXPECT_THROW((void)JsonValue::parse("-1").as_u64(), obs::JsonParseError);
 }
 
+/// The message of the JsonParseError `text` raises, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)JsonValue::parse(text);
+  } catch (const obs::JsonParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonValue, BoundsNestingDepth) {
+  // Seven levels is the deepest the writers emit; far more still parses.
+  EXPECT_EQ(JsonValue::parse(std::string(64, '[') + std::string(64, ']'))
+                .as_array()
+                .size(),
+            1u);
+  EXPECT_NO_THROW((void)JsonValue::parse(R"({"a":[{"b":[[1,2]]}]})"));
+  // Past the limit: an error naming the byte offset, not a stack overflow.
+  const std::string deep = parse_error(std::string(100'000, '['));
+  EXPECT_NE(deep.find("at byte 64:"), std::string::npos) << deep;
+  EXPECT_NE(deep.find("nesting"), std::string::npos) << deep;
+  // Objects count toward the same depth.
+  const auto objects = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += R"({"k":)";
+    return doc + "1" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_EQ(parse_error(objects(64)), "");
+  EXPECT_NE(parse_error(objects(65)).find("nesting"), std::string::npos);
+}
+
+TEST(JsonValue, RejectsNumbersBeyondDoubleRange) {
+  // The writer emits non-finite doubles as null, so an infinite number is
+  // never a round trip.
+  const std::string inf = parse_error(R"({"t_s":1e999})");
+  EXPECT_NE(inf.find("at byte 7:"), std::string::npos) << inf;
+  EXPECT_NE(parse_error("-1e999"), "");
+  EXPECT_NE(parse_error("[1e400]"), "");
+  EXPECT_EQ(JsonValue::parse("1e308").as_double(), 1e308);
+  EXPECT_EQ(JsonValue::parse("1e-400").as_double(), 0.0);  // underflow is 0
+  // An integer past 64 bits still falls back to a (finite) double.
+  EXPECT_EQ(JsonValue::parse("99999999999999999999").as_double(), 1e20);
+}
+
 // ------------------------------------------------------------- fixtures ----
 
 core::FctExperiment small_cfg() {
@@ -325,6 +369,30 @@ TEST(Journal, CorruptionBeforeTheTailThrows) {
   EXPECT_THROW(runner::load_journal(path), std::runtime_error);
   EXPECT_THROW(runner::load_journal(temp_path("no_such_journal.jsonl")),
                std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, DeeplyNestedLineBeforeTheTailIsCorrupt) {
+  const std::string path = temp_path("journal_deep.jsonl");
+  const auto spec = small_spec();
+  runner::SweepOptions opt;
+  opt.journal_out = path;
+  opt.journal_name = spec.name;
+  ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
+
+  // A 100,000-'[' line after the header, with the records still behind it.
+  std::string text = slurp(path);
+  text.insert(text.find('\n') + 1, std::string(100'000, '[') + "\n");
+  spit(path, text);
+  try {
+    (void)runner::load_journal(path);
+    ADD_FAILURE() << "a journal with a 100,000-deep line loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
+    EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+  }
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,8 @@
 // Observability layer tests: histogram bucket math, registry scoping,
 // flight recorder ring, exporter byte formats, the property battery that
 // locks the port/marker instrumentation to the simulation's own accounting
-// across every scheduler and AQM, and the same grid holding each sampler
-// channel's port-fed depth equal to the queue it mirrors.
+// across every scheduler and AQM, and the same grid holding each queue's
+// counters equal to what it holds and summing to its port's counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -539,11 +539,11 @@ TEST(ObsProperties, SweepMetricsByteIdenticalAcrossJobs) {
   }
 }
 
-// ---------------------------------------------------- series depth mirror ----
+// ------------------------------------------------- queue conservation ----
 
-/// What one depth-mirror run exercised, summed over the switch ports.
-struct MirrorRun {
-  std::uint64_t busy_checks = 0;  ///< channel checks that saw a backlog
+/// What one conservation run exercised, summed over the switch ports.
+struct ConservationRun {
+  std::uint64_t busy_checks = 0;  ///< queue checks that saw a backlog
   std::uint64_t buffer_drops = 0;
   std::uint64_t sched_drops = 0;
   std::uint64_t fault_drops = 0;
@@ -551,11 +551,15 @@ struct MirrorRun {
 
 /// Runs one grid cell on the star with the sampler on, built by hand so the
 /// simulation can stop between short run(until) slices (run_fct_experiment
-/// runs to completion in one call). After every slice each channel's
-/// port-fed depth must equal the queue it mirrors. The shared buffer is
-/// tight and AIFO's gate strict, so buffer and admission drops happen too;
-/// `faults` is a --faults plan applied before the traffic starts.
-MirrorRun run_depth_mirror(const GridCase& c, const std::string& faults = "") {
+/// runs to completion in one call). After every slice, each queue's
+/// enqueued minus dequeued packets and bytes must equal what it holds, and
+/// the port's counters() must equal the sum of its queues' counters. After
+/// the run, each channel must have sampled all of its queue's tx bytes.
+/// The shared buffer is tight and AIFO's gate strict, so buffer and
+/// admission drops happen too; `faults` is a --faults plan applied before
+/// the traffic starts.
+ConservationRun run_conservation(const GridCase& c,
+                                 const std::string& faults = "") {
   core::FctExperiment cfg = grid_config(c);
   cfg.sched.num_queues = 4;
   cfg.sched.aifo_window = 16;
@@ -579,33 +583,16 @@ MirrorRun run_depth_mirror(const GridCase& c, const std::string& faults = "") {
   fault::FaultInjector injector(sim, cfg.seed);
   if (!faults.empty()) injector.apply(network, fault::parse_fault_specs(faults));
 
-  // Pair every queue with the channel its port registered, by name.
-  std::map<std::string, const TimeSeries::Channel*> by_name;
-  for (const TimeSeries::Channel* ch : series.sorted_channels()) {
-    by_name[ch->name()] = ch;
-  }
-  struct Mirror {
-    const net::Port* port;
-    std::size_t queue;
-    const TimeSeries::Channel* channel;
-  };
-  std::vector<Mirror> mirrors;
+  std::vector<const net::Port*> ports;
   std::vector<const net::Port*> switch_ports;
-  const auto add_port = [&](const net::Port& port) {
-    for (std::size_t q = 0; q < port.num_queues(); ++q) {
-      const auto it = by_name.find(port.name() + ".q" + std::to_string(q));
-      if (it != by_name.end()) mirrors.push_back({&port, q, it->second});
-    }
-  };
   net::Switch& sw = network.switch_at(0);
   for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-    add_port(sw.port(p));
+    ports.push_back(&sw.port(p));
     switch_ports.push_back(&sw.port(p));
   }
   for (std::size_t h = 0; h < network.num_hosts(); ++h) {
-    add_port(network.host(h).nic());
+    ports.push_back(&network.host(h).nic());
   }
-  EXPECT_EQ(mirrors.size(), series.num_channels());
 
   transport::FlowManager fm;
   std::vector<net::Host*> senders;
@@ -636,26 +623,56 @@ MirrorRun run_depth_mirror(const GridCase& c, const std::string& faults = "") {
   converge.start();
   series.start(sim);
 
-  MirrorRun run;
+  ConservationRun run;
   constexpr sim::Time kSlice = 50 * sim::kMicrosecond;
   for (sim::Time until = kSlice; sim.pending() > 0 && until <= sim::kSecond;
        until += kSlice) {
     sim.run(until);
-    for (const Mirror& m : mirrors) {
-      const std::uint64_t bytes = m.port->queue_bytes(m.queue);
-      const std::uint64_t packets = m.port->queue_packets(m.queue);
-      if (m.channel->depth_bytes() != bytes ||
-          m.channel->depth_packets() != packets) {
-        ADD_FAILURE() << m.channel->name() << " at t=" << sim.now()
-                      << ": channel " << m.channel->depth_bytes() << " B / "
-                      << m.channel->depth_packets() << " pkts, queue "
-                      << bytes << " B / " << packets << " pkts";
+    for (const net::Port* port : ports) {
+      net::QueueCounters sum;
+      std::uint64_t held_bytes = 0;
+      for (std::size_t q = 0; q < port->num_queues(); ++q) {
+        const net::QueueCounters& qc = port->queue_counters(q);
+        const std::uint64_t packets = port->queue_packets(q);
+        const std::uint64_t bytes = port->queue_bytes(q);
+        if (qc.enq_packets - qc.tx_packets != packets ||
+            qc.enq_bytes - qc.tx_bytes != bytes) {
+          ADD_FAILURE() << port->name() << ".q" << q << " at t=" << sim.now()
+                        << ": counted " << qc.enq_packets - qc.tx_packets
+                        << " pkts / " << qc.enq_bytes - qc.tx_bytes
+                        << " B, queue holds " << packets << " pkts / "
+                        << bytes << " B";
+          return run;
+        }
+        if (packets > 0) ++run.busy_checks;
+        held_bytes += bytes;
+        sum += qc;
+      }
+      if (port->counters() != sum || held_bytes != port->total_bytes()) {
+        ADD_FAILURE() << port->name() << " at t=" << sim.now()
+                      << ": port totals disagree with its queues";
         return run;
       }
-      if (packets > 0) ++run.busy_checks;
     }
   }
   EXPECT_EQ(sim.pending(), 0u) << "the run did not drain";
+
+  std::map<std::string, const TimeSeries::Channel*> by_name;
+  for (const TimeSeries::Channel* ch : series.sorted_channels()) {
+    by_name[ch->name()] = ch;
+  }
+  std::size_t channels = 0;
+  for (const net::Port* port : ports) {
+    for (std::size_t q = 0; q < port->num_queues(); ++q) {
+      const auto it = by_name.find(port->name() + ".q" + std::to_string(q));
+      if (it == by_name.end()) continue;
+      ++channels;
+      EXPECT_EQ(it->second->analyzer().total_tx_bytes(),
+                port->queue_counters(q).tx_bytes)
+          << it->first;
+    }
+  }
+  EXPECT_EQ(channels, series.num_channels());
   for (const net::Port* port : switch_ports) {
     run.buffer_drops += port->counters().drops;
     run.sched_drops += port->counters().sched_drops;
@@ -664,10 +681,10 @@ MirrorRun run_depth_mirror(const GridCase& c, const std::string& faults = "") {
   return run;
 }
 
-TEST(SeriesDepthMirror, ChannelDepthEqualsQueueAcrossSchedulersAndAqms) {
+TEST(QueueConservation, HoldsAcrossSchedulersAndAqms) {
   for (const auto& c : kGrid) {
     SCOPED_TRACE(c.label);
-    const MirrorRun run = run_depth_mirror(c);
+    const ConservationRun run = run_conservation(c);
     EXPECT_GT(run.busy_checks, 0u);
     EXPECT_GT(run.buffer_drops + run.sched_drops, 0u);
     if (c.sched == core::SchedKind::kAifo) {
@@ -676,19 +693,20 @@ TEST(SeriesDepthMirror, ChannelDepthEqualsQueueAcrossSchedulersAndAqms) {
   }
 }
 
-TEST(SeriesDepthMirror, HoldsThroughALinkOutage) {
+TEST(QueueConservation, HoldsThroughALinkOutage) {
   // The bottleneck egress goes down mid-run: queued packets sit out the
   // outage while new arrivals are blackholed before they reach a queue.
-  const MirrorRun run = run_depth_mirror(kGrid[3], "linkdown:sw0.p0:5:20");
+  const ConservationRun run =
+      run_conservation(kGrid[3], "linkdown:sw0.p0:5:20");
   EXPECT_GT(run.busy_checks, 0u);
   EXPECT_GT(run.fault_drops, 0u);
 }
 
-TEST(SeriesDepthMirror, HoldsThroughABufferSqueeze) {
+TEST(QueueConservation, HoldsThroughABufferSqueeze) {
   // Squeezing the shared buffer evicts nothing; arrivals tail-drop until
   // the backlog drains below the new cap.
-  const MirrorRun run =
-      run_depth_mirror(kGrid[3], "squeeze:sw0.p0:6000:0:100");
+  const ConservationRun run =
+      run_conservation(kGrid[3], "squeeze:sw0.p0:6000:0:100");
   EXPECT_GT(run.busy_checks, 0u);
   EXPECT_GT(run.buffer_drops, 0u);
 }

@@ -1,10 +1,16 @@
-// Shared helpers for unit tests: packet factories and a capturing sink node.
+// Shared helpers for unit tests: packet factories, a capturing sink node and
+// a recording port observer.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/trace.hpp"
 
 namespace tcn::test {
 
@@ -35,5 +41,47 @@ inline net::PacketPtr make_test_packet(std::uint32_t size,
   p->ecn = ecn;
   return p;
 }
+
+/// Records every port event (optionally filtered), up to a cap.
+class RecordingTracer final : public net::PortObserver {
+ public:
+  using Filter = std::function<bool(const net::TraceRecord&)>;
+
+  explicit RecordingTracer(std::size_t max_records = 1'000'000,
+                           Filter filter = nullptr)
+      : max_(max_records), filter_(std::move(filter)) {}
+
+  void on_event(const net::TraceRecord& rec) override {
+    if (filter_ && !filter_(rec)) return;
+    if (records_.size() < max_) {
+      records_.push_back(rec);
+      ++tally_[static_cast<std::size_t>(rec.event)];
+    } else {
+      ++overflow_;
+    }
+  }
+
+  [[nodiscard]] const std::vector<net::TraceRecord>& records() const noexcept {
+    return records_;
+  }
+  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
+
+  /// Number of STORED records of type `e` (capped records are not counted,
+  /// matching records()).
+  [[nodiscard]] std::size_t count(net::TraceEvent e) const {
+    return tally_[static_cast<std::size_t>(e)];
+  }
+
+ private:
+  // One slot per TraceEvent enumerator (kEnqueue..kSchedDrop).
+  static constexpr std::size_t kNumEvents =
+      static_cast<std::size_t>(net::TraceEvent::kSchedDrop) + 1;
+
+  std::size_t max_;
+  Filter filter_;
+  std::vector<net::TraceRecord> records_;
+  std::uint64_t overflow_ = 0;
+  std::array<std::size_t, kNumEvents> tally_{};
+};
 
 }  // namespace tcn::test

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "net/queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "runner/journal.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 #include "topo/network.hpp"
 #include "workload/distributions.hpp"
 
@@ -193,14 +195,15 @@ TEST(TimeSeries, RingKeepsLastMaxSamplesButAnalyzerSeesAll) {
   cfg.interval = 10 * sim::kMicrosecond;
   cfg.max_samples = 4;
   obs::TimeSeries ts(cfg);
-  auto* ch = ts.add_channel("q0", 100'000);
+  net::PacketQueue q;
+  auto* ch = ts.add_channel("q0", q, 100'000);
 
   sim::Simulator s;
   // Keep the event queue non-empty through 10 sampler ticks; one 1000-byte
   // packet joins the queue just before each tick fires.
   for (int i = 0; i < 10; ++i) {
     s.schedule_at(static_cast<sim::Time>(i * 10 + 9) * sim::kMicrosecond,
-                  [ch] { ch->on_enqueue(1'000); });
+                  [&q, &s] { q.push(test::make_test_packet(1'000), s.now()); });
   }
   ts.start(s);
   s.run();
@@ -220,18 +223,21 @@ TEST(TimeSeries, AccumulatorsDrainPerTick) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* ch = ts.add_channel("q0", 100'000);
+  net::PacketQueue q;
+  auto* ch = ts.add_channel("q0", q, 100'000);
 
   sim::Simulator s;
-  // Three packets in, two out and a mark before the first tick; nothing
-  // afterwards.
-  s.schedule_at(5 * sim::kMicrosecond, [ch] {
-    ch->on_enqueue(1'500);
-    ch->on_enqueue(1'500);
-    ch->on_enqueue(700);
-    ch->on_dequeue(2'000, 1'500);
-    ch->on_dequeue(4'000, 1'500);
-    ch->on_mark();
+  // Three packets in at 1us; two out, after 2us and 4us, and a mark before
+  // the first tick; nothing afterwards.
+  s.schedule_at(1 * sim::kMicrosecond, [&q, &s] {
+    q.push(test::make_test_packet(1'500), s.now());
+    q.push(test::make_test_packet(1'500), s.now());
+    q.push(test::make_test_packet(700), s.now());
+  });
+  s.schedule_at(3 * sim::kMicrosecond, [&q, &s] { q.pop(s.now()); });
+  s.schedule_at(5 * sim::kMicrosecond, [&q, &s] {
+    q.pop(s.now());
+    ++q.counters().marks;
   });
   s.schedule_at(25 * sim::kMicrosecond, [] {});  // keeps tick 2 alive
   ts.start(s);
@@ -245,7 +251,7 @@ TEST(TimeSeries, AccumulatorsDrainPerTick) {
   EXPECT_EQ(pts[0].tx_bytes, 3'000u);
   EXPECT_EQ(pts[0].depth_bytes, 700u);  // what the dequeues left behind
   EXPECT_EQ(pts[0].depth_packets, 1u);
-  EXPECT_EQ(pts[1].deq_packets, 0u);  // drained, not carried over
+  EXPECT_EQ(pts[1].deq_packets, 0u);  // a delta, not a running total
   EXPECT_EQ(pts[1].marks, 0u);
   EXPECT_EQ(pts[1].depth_bytes, 700u);  // depth is a level, not a sum
 }
@@ -254,7 +260,8 @@ TEST(TimeSeries, SamplerStopsWhenSimDrainsAndRearms) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  ts.add_channel("q0", 0);
+  const net::PacketQueue q;
+  ts.add_channel("q0", q, 0);
   sim::Simulator s;
   s.schedule_at(35 * sim::kMicrosecond, [] {});
   ts.start(s);
@@ -269,15 +276,18 @@ TEST(TimeSeries, SamplerStopsWhenSimDrainsAndRearms) {
   EXPECT_GT(ts.ticks(), first_ticks);
 }
 
-/// Ten ticks of a channel whose depth and dequeues vary tick to tick.
-void drive_ten_ticks(obs::TimeSeries& ts, obs::TimeSeries::Channel* ch) {
+/// Ten ticks of the channel on `q`, whose depth and dequeues vary tick to
+/// tick.
+void drive_ten_ticks(obs::TimeSeries& ts, net::PacketQueue& q) {
   sim::Simulator s;
   for (int i = 0; i < 10; ++i) {
     s.schedule_at(static_cast<sim::Time>(i * 10 + 5) * sim::kMicrosecond,
-                  [ch, i] {
-                    for (int k = 0; k < 1 + i % 3; ++k) ch->on_enqueue(1'500);
-                    if (i % 2 == 1) ch->on_dequeue(3'000 * i, 1'500);
-                    if (i % 4 == 0) ch->on_mark();
+                  [&q, &s, i] {
+                    for (int k = 0; k < 1 + i % 3; ++k) {
+                      q.push(test::make_test_packet(1'500), s.now());
+                    }
+                    if (i % 2 == 1) q.pop(s.now());
+                    if (i % 4 == 0) ++q.counters().marks;
                   });
   }
   ts.start(s);
@@ -289,13 +299,15 @@ TEST(TimeSeries, ZeroRingKeepsNoPointsAndTheSameReduction) {
   cfg.interval = 10 * sim::kMicrosecond;
   cfg.max_samples = 4;
   obs::TimeSeries ringed(cfg);
-  auto* with_ring = ringed.add_channel("q0", 100'000);
-  drive_ten_ticks(ringed, with_ring);
+  net::PacketQueue ringed_q;
+  auto* with_ring = ringed.add_channel("q0", ringed_q, 100'000);
+  drive_ten_ticks(ringed, ringed_q);
 
   cfg.max_samples = 0;
   obs::TimeSeries bare(cfg);
-  auto* without_ring = bare.add_channel("q0", 100'000);
-  drive_ten_ticks(bare, without_ring);
+  net::PacketQueue bare_q;
+  auto* without_ring = bare.add_channel("q0", bare_q, 100'000);
+  drive_ten_ticks(bare, bare_q);
 
   EXPECT_EQ(with_ring->points().size(), 4u);
   EXPECT_TRUE(without_ring->points().empty());
@@ -319,17 +331,19 @@ TEST(TimeSeries, DominantChannelByTxBytesThenName) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* a = ts.add_channel("p0.q1", 0);
-  auto* b = ts.add_channel("p0.q0", 0);
+  net::PacketQueue qa;
+  net::PacketQueue qb;
+  ts.add_channel("p0.q1", qa, 0);
+  ts.add_channel("p0.q0", qb, 0);
   EXPECT_EQ(ts.dominant_channel()->name(), "p0.q0");  // tie -> lexicographic
 
   // tx bytes reach the analyzer at tick time, so drive one sampling tick.
   sim::Simulator s;
-  s.schedule_at(5 * sim::kMicrosecond, [a, b] {
-    a->on_enqueue(3'000);
-    a->on_dequeue(1'000, 3'000);
-    b->on_enqueue(1'500);
-    b->on_dequeue(1'000, 1'500);
+  s.schedule_at(5 * sim::kMicrosecond, [&qa, &qb, &s] {
+    qa.push(test::make_test_packet(3'000), s.now());
+    qa.pop(s.now());
+    qb.push(test::make_test_packet(1'500), s.now());
+    qb.pop(s.now());
   });
   ts.start(s);
   s.run();

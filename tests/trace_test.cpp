@@ -1,9 +1,8 @@
 // Tracing tests: event emission from the port pipeline, filters and caps,
-// text formatting, per-flow summaries, tee fan-out.
+// tee fan-out.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "aqm/tcn.hpp"
 #include "net/fifo_scheduler.hpp"
@@ -17,6 +16,7 @@ namespace {
 
 using test::CaptureNode;
 using test::make_test_packet;
+using test::RecordingTracer;
 
 struct Rig {
   explicit Rig(std::uint64_t buffer = UINT64_MAX,
@@ -101,38 +101,6 @@ TEST(Trace, FilterAndCap) {
   EXPECT_EQ(only_flow7.records().size(), 3u);
   EXPECT_EQ(only_flow7.overflow(), 7u);
   for (const auto& r : only_flow7.records()) EXPECT_EQ(r.flow, 7u);
-}
-
-TEST(Trace, TextTracerFormatsLines) {
-  Rig rig;
-  std::ostringstream out;
-  TextTracer tracer(out);
-  rig.port->set_observer(&tracer);
-  auto p = make_test_packet(1500, 2, 42);
-  p->seq = 1460;
-  rig.port->enqueue(std::move(p), 0);
-  rig.sim.run();
-  const auto text = out.str();
-  EXPECT_NE(text.find("enq sw0.p1 q0 flow=42 seq=1460 size=1500 dscp=2"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("deq sw0.p1"), std::string::npos);
-}
-
-TEST(Trace, FlowSummaryAggregates) {
-  Rig rig(/*buffer=*/4'500,
-          std::make_unique<aqm::TcnMarker>(5 * sim::kMicrosecond));
-  FlowTraceSummary summary;
-  rig.port->set_observer(&summary);
-  for (int i = 0; i < 6; ++i) {
-    rig.port->enqueue(make_test_packet(1500, 0, /*flow=*/i % 2), 0);
-  }
-  rig.sim.run();
-  const auto& f0 = summary.flow(0);
-  const auto& f1 = summary.flow(1);
-  EXPECT_EQ(f0.packets + f1.packets + f0.drops + f1.drops, 6u);
-  EXPECT_GT(f0.bytes, 0u);
-  EXPECT_THROW(summary.flow(99), std::out_of_range);
 }
 
 TEST(Trace, TeeFansOut) {

@@ -293,6 +293,46 @@ TEST(TraceReplay, ErrorsNameThePathAndLine) {
   std::remove(path.c_str());
 }
 
+/// The message load_trace raises for a one-line trace `line`, or "".
+std::string replay_error(const std::string& line) {
+  const std::string path = temp_path("trace_range.jsonl");
+  write_file(path, "{\"t_s\":0,\"src\":1,\"dst\":0,\"size\":100}\n" + line +
+                       "\n");
+  std::string what;
+  try {
+    (void)traffic::load_trace(path);
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  std::remove(path.c_str());
+  return what;
+}
+
+TEST(TraceReplay, RejectsValuesOutsideTheirRange) {
+  const std::string at = "trace " + temp_path("trace_range.jsonl") + ":2: ";
+  // A time past the simulator's clock range is rejected, not converted.
+  for (const char* t : {"1e300", "1e10", "1e999"}) {
+    const std::string what = replay_error(
+        std::string("{\"t_s\":") + t + ",\"src\":1,\"dst\":0,\"size\":1}");
+    EXPECT_EQ(what.rfind(at, 0), 0u) << t << ": " << what;
+  }
+  // 32-bit fields are rejected past 2^32 - 1, not truncated.
+  for (const char* field :
+       {R"({"t_s":0,"src":4294967297,"dst":0,"size":1})",
+        R"({"t_s":0,"src":1,"dst":4294967296,"size":1})",
+        R"({"t_s":0,"src":1,"dst":0,"size":1,"service":4294967296})"}) {
+    const std::string what = replay_error(field);
+    EXPECT_EQ(what.rfind(at, 0), 0u) << field << ": " << what;
+    EXPECT_NE(what.find("2^32"), std::string::npos) << what;
+  }
+  EXPECT_EQ(replay_error(std::string(100'000, '[')).rfind(at, 0), 0u);
+  EXPECT_EQ(replay_error(R"({"t_s":-1,"src":1,"dst":0,"size":1})").rfind(at, 0),
+            0u);
+  // The edges of the ranges still load.
+  EXPECT_EQ(replay_error(R"({"t_s":9e9,"src":4294967295,"dst":0,"size":1})"),
+            "");
+}
+
 // ----------------------------------------------------- engine end-to-end ----
 
 core::FctExperiment open_loop_cfg(const std::string& traffic) {
