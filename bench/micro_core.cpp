@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +31,11 @@
 #include "net/packet.hpp"
 #include "net/port.hpp"
 #include "net/queue.hpp"
+#include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "runner/flags.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/wfq.hpp"
 #include "sim/event_queue.hpp"
@@ -588,18 +592,8 @@ void write_json(const std::vector<BenchResult>& results, double wall_ms,
 
   std::string doc = w.str();
   doc += '\n';
-  if (path == "-") {
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
-    std::exit(1);
-  }
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  obs::write_text_file(path, doc);
+  if (path != "-") std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -608,20 +602,29 @@ int main(int argc, char** argv) {
   std::string json_path;
   double min_secs = 0.3;
   bool gate = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--min-time" && i + 1 < argc) {
-      min_secs = std::atof(argv[++i]);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: micro_core [--json PATH|-] [--min-time SECS] [--gate]\n");
-      return 2;
+  const runner::FlagTable table = {
+      {"--json", "PATH", "write the tcn-bench-1 document (\"-\" = stdout)",
+       runner::path_setter(json_path)},
+      {"--min-time", "SECS", "measured wall time per benchmark (default 0.3)",
+       runner::number_setter(min_secs)},
+      {"--gate", "",
+       "exit 1 unless calendar/heap >= 1.5x and the\n"
+       "time-series sampler overhead <= 5%",
+       runner::switch_setter(gate)}};
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  if (runner::wants_help(args)) {
+    std::printf("usage: micro_core [flags]\n%s",
+                runner::flags_usage(table).c_str());
+    return 0;
+  }
+  try {
+    runner::parse_flags(table, args);
+    if (!(min_secs > 0)) {
+      throw std::invalid_argument("--min-time: must be positive");
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "micro_core: %s\n", e.what());
+    return 2;
   }
 
   const auto t0 = Clock::now();
@@ -715,7 +718,14 @@ int main(int argc, char** argv) {
                 event_queue_ratio);
   }
 
-  if (!json_path.empty()) write_json(results, wall_ms, json_path);
+  if (!json_path.empty()) {
+    try {
+      write_json(results, wall_ms, json_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "micro_core: --json: %s\n", e.what());
+      return 1;
+    }
+  }
 
   if (gate) {
     // CI acceptance: the calendar queue must beat the in-binary heap

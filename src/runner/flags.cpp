@@ -11,7 +11,7 @@
 namespace tcn::runner {
 namespace {
 
-// Help text starts here, as in core::cli_usage().
+// Help text starts in this column.
 constexpr std::size_t kHelpColumn = 30;
 
 /// Rejects --retries N beside an explicit non-retry --on-failure (checked
@@ -28,26 +28,23 @@ void check_retry_policy(const SweepFlags& f) {
 
 }  // namespace
 
-void parse_flags(const FlagTable& table, const std::vector<std::string>& args,
-                 std::vector<std::string>* rest) {
+void parse_flags(const FlagTable& table,
+                 const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& name = args[i];
     const auto row =
-        std::find_if(table.begin(), table.end(),
-                     [&](const Flag& f) { return f.name == name; });
+        std::find_if(table.begin(), table.end(), [&](const Flag& f) {
+          return !f.name.empty() && f.name == name;
+        });
     if (row == table.end()) {
-      if (rest == nullptr) {
-        throw std::invalid_argument("unknown flag '" + name +
-                                    "' (see --help)");
-      }
-      rest->push_back(name);
-      continue;
+      throw std::invalid_argument("unknown flag '" + name + "' (see --help)");
     }
-    if (i + 1 >= args.size()) {
+    const bool is_switch = row->metavar.empty();
+    if (!is_switch && i + 1 >= args.size()) {
       throw std::invalid_argument(name + ": missing value");
     }
     try {
-      row->set(name, args[++i]);
+      row->set(name, is_switch ? std::string() : args[++i]);
     } catch (const std::invalid_argument& e) {
       if (std::string_view(e.what()).find(name) != std::string_view::npos) {
         throw;
@@ -60,7 +57,12 @@ void parse_flags(const FlagTable& table, const std::vector<std::string>& args,
 std::string flags_usage(const FlagTable& table) {
   std::string out;
   for (const Flag& row : table) {
-    std::string line = "  " + row.name + " " + row.metavar;
+    if (row.name.empty()) {
+      out += row.help + '\n';
+      continue;
+    }
+    std::string line = "  " + row.name;
+    if (!row.metavar.empty()) line += " " + row.metavar;
     for (std::size_t begin = 0; begin <= row.help.size();) {
       const std::size_t end = std::min(row.help.find('\n', begin),
                                        row.help.size());
@@ -88,6 +90,10 @@ FlagSetter path_setter(std::string& out) {
     if (value.empty()) throw std::invalid_argument(flag + ": empty path");
     out = value;
   };
+}
+
+FlagSetter switch_setter(bool& out) {
+  return [&out](const std::string&, const std::string&) { out = true; };
 }
 
 void add_sweep_flags(FlagTable& table, SweepFlags& f) {

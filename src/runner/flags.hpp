@@ -1,8 +1,10 @@
-// One flag table for the sweep front ends: tcnsim, the figure benches and
-// bench/suite (bench/bench_util.hpp), and bench/atlas. A row is a flag's
-// name, value placeholder, help text and setter; parse_flags applies argv
-// to the rows and flags_usage prints them, so each flag is declared once
-// for both.
+// One flag table per front end: tcnsim (tools/tcnsim_args.hpp), the figure
+// benches and bench/suite (bench/bench_util.hpp), bench/atlas and
+// bench/micro_core. A row is a flag's name, value placeholder, help text
+// and setter; parse_flags applies argv to the rows and flags_usage prints
+// them, so each flag is declared once for both. A row with an empty
+// metavar is a switch that takes no value; a row with an empty name is a
+// --help section heading and matches no token.
 //
 // The rules are the same in every front end. A reject is a
 // std::invalid_argument whose message names the flag: a missing value, an
@@ -31,21 +33,19 @@ using FlagSetter =
     std::function<void(const std::string& flag, const std::string& value)>;
 
 struct Flag {
-  std::string name;     ///< e.g. "--jobs"
-  std::string metavar;  ///< the value's placeholder in --help, e.g. "N"
+  std::string name;     ///< e.g. "--jobs"; empty = a section heading
+  std::string metavar;  ///< the value's placeholder, e.g. "N"; empty = switch
   std::string help;     ///< '\n' starts a continuation line
-  FlagSetter set;
+  FlagSetter set;       ///< a switch's setter gets an empty value
 };
 
 /// The setters below keep a reference to their target, so a table must
 /// not outlive the struct its rows write into.
 using FlagTable = std::vector<Flag>;
 
-/// Applies `args` (argv[1..]) to the rows in order; every row takes a
-/// value. A token with no row is appended to `*rest` when `rest` is given
-/// (the caller forwards it to another parser), else rejected.
-void parse_flags(const FlagTable& table, const std::vector<std::string>& args,
-                 std::vector<std::string>* rest = nullptr);
+/// Applies `args` (argv[1..]) to the rows in order; a token with no row is
+/// rejected.
+void parse_flags(const FlagTable& table, const std::vector<std::string>& args);
 
 /// The rows' --help lines, in row order.
 [[nodiscard]] std::string flags_usage(const FlagTable& table);
@@ -81,6 +81,9 @@ FlagSetter list_setter(std::vector<T>& out, ParseOne parse_one) {
 
 /// Setter for a file path; rejects an empty one.
 FlagSetter path_setter(std::string& out);
+
+/// Setter for a switch row (empty metavar): sets `out`.
+FlagSetter switch_setter(bool& out);
 
 /// What the shared rows fill. Each front end sets its defaults before
 /// adding the rows.

@@ -297,14 +297,17 @@ JournalData load_journal(const std::string& path) {
     ++line_no;
     if (ln.empty()) continue;
 
-    // Is there any non-whitespace content after this line? If not, a parse
-    // failure here is a torn tail (the process died mid-append), which is
-    // tolerated; anywhere else it is corruption.
+    // Is there any non-whitespace content after this line? If not, a line
+    // that does not parse is a torn tail (the process died mid-append),
+    // which is tolerated. Anywhere else it is corruption, and so is a line
+    // that parses but has a missing or mistyped field, even as the tail.
     const bool is_tail =
         text.find_first_not_of(" \t\r\n", pos) == std::string::npos;
     obs::JsonValue doc;
+    bool parsed = false;
     try {
       doc = obs::JsonValue::parse(ln);
+      parsed = true;
       if (!saw_header) {
         const std::string& schema = doc.at("schema").as_string();
         if (schema != kJournalSchema) {
@@ -322,7 +325,7 @@ JournalData load_journal(const std::string& path) {
         by_index[index] = std::move(rec);  // duplicate index: last wins
       }
     } catch (const obs::JsonParseError& e) {
-      if (is_tail) {
+      if (is_tail && !parsed) {
         data.torn_tail = true;
         data.valid_bytes = line_start;
         if (!saw_header) {

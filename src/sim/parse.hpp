@@ -1,5 +1,5 @@
 // Checked values for the hand-written grammars: command-line flags
-// (core::parse_cli, runner::FlagTable) and the --faults / --traffic
+// (runner::FlagTable rows) and the --faults / --traffic / --sched
 // clauses. The whole of `value` must be the number: no leading blank, no
 // trailing text, no sign on an unsigned value (std::stoull wraps "-5" to
 // 2^64 - 5), nothing non-finite for a double ("nan" passes range guards

@@ -28,25 +28,6 @@ std::string where(const std::string& clause) {
   throw std::invalid_argument(where(clause) + ": " + why);
 }
 
-workload::Kind to_workload(const std::string& clause,
-                           const std::string& field) {
-  // Accept both the canonical hyphenated name ("web-search") and the
-  // compact flag-friendly form ("websearch").
-  const auto dehyphenate = [](std::string s) {
-    std::string out;
-    for (char c : s) {
-      if (c != '-') out += c;
-    }
-    return out;
-  };
-  for (workload::Kind k : workload::all_kinds()) {
-    const std::string canon = workload::name(k);
-    if (canon == field || dehyphenate(canon) == field) return k;
-  }
-  bad(clause, "unknown workload '" + field +
-                  "' (want web-search|data-mining|hadoop|cache)");
-}
-
 int to_dscp(const std::string& clause, const std::string& field) {
   if (field == "-") return -1;
   const std::uint64_t dscp = sim::parse_u64(where(clause) + " dscp", field);
@@ -68,7 +49,11 @@ TenantSpec parse_tenant(const std::string& clause,
   t.arrival = mmpp ? TenantSpec::Arrival::kMmpp : TenantSpec::Arrival::kPoisson;
   t.name = f[1];
   if (t.name.empty()) bad(clause, "tenant name must be non-empty");
-  t.workload = to_workload(clause, f[2]);
+  try {
+    t.workload = workload::from_name(f[2]);
+  } catch (const std::invalid_argument& e) {
+    bad(clause, e.what());
+  }
   t.share = sim::parse_double(where(clause), f[3]);
   if (t.share <= 0) bad(clause, "share must be > 0");
   if (f.size() > 4) t.dscp = to_dscp(clause, f[4]);

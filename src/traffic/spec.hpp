@@ -67,8 +67,9 @@ struct TrafficSpec {
 ///   mmpp:<name>:<workload>:<share>[:<dscp>[:<burst>[:<duty>[:<dwell_ms>]]]]
 ///   diurnal:<period_s>:<min_factor>:<peak_factor>
 ///   replay:<path>
-/// <workload> is websearch|datamining|hadoop|cache. At most one diurnal and
-/// one replay clause. Throws std::invalid_argument on bad input.
+/// <workload> is web-search|data-mining|hadoop|cache, hyphens optional
+/// (workload::from_name). At most one diurnal and one replay clause.
+/// Throws std::invalid_argument on bad input.
 TrafficSpec parse_traffic_spec(const std::string& spec);
 
 /// Parse a '|'-separated --traffic-grid string into labelled sweep-axis

@@ -90,4 +90,17 @@ std::string name(Kind k) {
   throw std::invalid_argument("workload::name: bad kind");
 }
 
+Kind from_name(const std::string& text) {
+  std::string names;
+  for (const Kind k : all_kinds()) {
+    std::string canon = name(k);
+    names += (names.empty() ? "" : "|") + canon;
+    if (text == canon) return k;
+    std::erase(canon, '-');
+    if (text == canon) return k;
+  }
+  throw std::invalid_argument("unknown workload '" + text + "' (" + names +
+                              "; hyphens optional)");
+}
+
 }  // namespace tcn::workload

@@ -30,4 +30,8 @@ const sim::Ecdf& distribution(Kind k);
 
 std::string name(Kind k);
 
+/// The kind `text` names: its name() ("web-search") or that name without
+/// hyphens ("websearch"). Throws std::invalid_argument listing the names.
+Kind from_name(const std::string& text);
+
 }  // namespace tcn::workload

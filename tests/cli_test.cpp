@@ -1,5 +1,5 @@
-// Tests for the tcnsim command-line parser: defaults per topology, flag
-// handling, derived parameters, and error messages.
+// Tests for tcnsim's experiment flags (tools/tcnsim_args.hpp): defaults per
+// topology, flag handling, derived parameters, and error messages.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -7,12 +7,15 @@
 
 #include "core/cli.hpp"
 #include "sim/parse.hpp"
+#include "tcnsim_args.hpp"
 
 namespace tcn::core {
 namespace {
 
 FctExperiment parse(std::initializer_list<const char*> args) {
-  return parse_cli(std::vector<std::string>(args.begin(), args.end()));
+  return tools::parse_tcnsim_args(
+             std::vector<std::string>(args.begin(), args.end()))
+      .cfg;
 }
 
 TEST(Cli, StarDefaultsMatchTestbed) {
@@ -50,8 +53,14 @@ TEST(Cli, SchemeAndSchedulerNames) {
   EXPECT_EQ(parse_sched("sp-pifo"), SchedKind::kSpPifo);
   EXPECT_EQ(parse_sched("aifo"), SchedKind::kAifo);
   EXPECT_THROW(parse_sched("wat"), std::invalid_argument);
-  EXPECT_EQ(parse_workload("hadoop"), workload::Kind::kHadoop);
-  EXPECT_THROW(parse_workload("wat"), std::invalid_argument);
+  // One workload-name parser for --workload and --traffic: the canonical
+  // name or the name without hyphens.
+  EXPECT_EQ(workload::from_name("hadoop"), workload::Kind::kHadoop);
+  EXPECT_EQ(workload::from_name("web-search"), workload::Kind::kWebSearch);
+  EXPECT_EQ(workload::from_name("websearch"), workload::Kind::kWebSearch);
+  EXPECT_EQ(workload::from_name("datamining"), workload::Kind::kDataMining);
+  EXPECT_THROW(workload::from_name("wat"), std::invalid_argument);
+  EXPECT_THROW(workload::from_name("web_search"), std::invalid_argument);
 }
 
 TEST(Cli, SchedSpecParsesApproximateRankSchedulers) {
@@ -119,6 +128,35 @@ TEST(Cli, WorkloadList) {
   ASSERT_EQ(cfg.service_workloads.size(), 2u);
   EXPECT_EQ(cfg.service_workloads[0], workload::Kind::kCache);
   EXPECT_EQ(cfg.service_workloads[1], workload::Kind::kHadoop);
+  // Both spellings, as in a --traffic clause (web-search was rejected here).
+  const auto both = parse({"--workload", "web-search,datamining"});
+  EXPECT_EQ(both.service_workloads,
+            (std::vector<workload::Kind>{workload::Kind::kWebSearch,
+                                         workload::Kind::kDataMining}));
+}
+
+// The topology's defaults apply after parsing, so a flag keeps its value
+// whether it comes before or after --topology.
+TEST(Cli, TopologyDefaultsYieldToFlagsInAnyOrder) {
+  const std::vector<std::string> flags = {
+      "--rtt-lambda-us", "100",   "--red-k-bytes", "5000",
+      "--rto-min-us",    "2000",  "--services",    "3",
+      "--workload",      "cache", "--persistent-connections"};
+  for (const bool topology_first : {true, false}) {
+    std::vector<std::string> args = flags;
+    args.insert(topology_first ? args.begin() : args.end(),
+                {"--topology", "leafspine"});
+    const auto cfg = tools::parse_tcnsim_args(args).cfg;
+    EXPECT_EQ(cfg.topology, FctExperiment::Topology::kLeafSpine);
+    EXPECT_EQ(cfg.params.rtt_lambda, 100 * sim::kMicrosecond);
+    EXPECT_EQ(cfg.params.red_threshold_bytes, 5'000u);
+    EXPECT_EQ(cfg.tcp.rto_min, 2 * sim::kMillisecond);
+    EXPECT_EQ(cfg.tcp.rto_init, 2 * sim::kMillisecond);
+    EXPECT_EQ(cfg.num_services, 3u);
+    EXPECT_EQ(cfg.service_workloads,
+              (std::vector<workload::Kind>{workload::Kind::kCache}));
+    EXPECT_TRUE(cfg.persistent_connections);
+  }
 }
 
 TEST(Cli, PiasUpgradesToHybridScheduler) {
@@ -172,8 +210,9 @@ TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
           << flag << " " << value << ": " << e.what();
     }
   };
-  for (const char* flag : {"--flows", "--hosts", "--event-budget",
-                           "--pending-budget", "--seed", "--red-k-bytes"}) {
+  for (const char* flag :
+       {"--flows", "--hosts", "--event-budget", "--pending-budget", "--seed",
+        "--red-k-bytes", "--services"}) {
     for (const char* value : {"-5", "-1", "+3", " 7", "7 ", "0x10", "",
                               "18446744073709551616"}) {
       expect_rejected(flag, value);
@@ -190,6 +229,12 @@ TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
   // Finite but beyond what a nanosecond sim::Time can hold.
   expect_rejected("--rtt-lambda-us", "1e300");
   expect_rejected("--time-limit-s", "1e10");
+  // A service count is at least 1 and fits 32 bits (4294967297 ran with
+  // one service, 0 failed only once the run started).
+  expect_rejected("--services", "0");
+  expect_rejected("--services", "4294967296");
+  expect_rejected("--services", "4294967297");
+  EXPECT_EQ(parse({"--services", "4294967295"}).num_services, 4'294'967'295u);
   // The shared helpers behind the sweep flag rows (--loads, --seeds,
   // --jobs) and the --faults / --traffic clauses.
   EXPECT_THROW(sim::parse_double("--loads", "abc"), std::invalid_argument);
@@ -206,25 +251,6 @@ TEST(Cli, NumericFlagsRejectSignsNonFiniteAndTrailingText) {
   EXPECT_EQ(cfg.load, 0.3);
   EXPECT_EQ(cfg.params.rtt_lambda, 12'500);
   EXPECT_EQ(cfg.time_limit, 9'000'000'000 * sim::kSecond);
-}
-
-// tcnsim's sweep rows (--loads, --jobs, --fault-grid, ...) are printed from
-// their flag table; flags_test checks that tcnsim's --help names each.
-TEST(Cli, UsageMentionsEveryFlag) {
-  const auto usage = cli_usage();
-  for (const char* flag :
-       {"--topology", "--scheme", "--sched", "--load", "--flows",
-        "--workload", "--pias", "--transport", "--sack", "--delayed-ack",
-        "--seed", "--rtt-lambda-us", "--red-k-bytes", "--metrics-out",
-        "--trace-out", "--check-invariants", "--faults",
-        "--fail-on-invariant", "--wall-budget-ms", "--event-budget",
-        "--sim-time-budget-s", "--pending-budget", "--traffic",
-        "--time-limit-s"}) {
-    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
-  }
-  // The --sched grammar advertises the parameterized rank schedulers.
-  EXPECT_NE(usage.find("sp-pifo[:levels]"), std::string::npos);
-  EXPECT_NE(usage.find("aifo[:window,k]"), std::string::npos);
 }
 
 TEST(Cli, BudgetFlags) {

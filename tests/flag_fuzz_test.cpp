@@ -1,6 +1,6 @@
 // Seeded mutation fuzz over every hand-written flag and spec grammar: the
-// three front ends' flag tables (tcnsim with its core::parse_cli
-// forwarding, the figure benches and bench/suite, bench/atlas),
+// three sweep front ends' flag tables (tcnsim's experiment, switch and
+// sweep rows, the figure benches and bench/suite, bench/atlas),
 // fault::parse_fault_specs/_grid, traffic::parse_traffic_spec/_grid and
 // core::parse_sched_spec.
 //

@@ -1,9 +1,10 @@
-// The sweep flag table (runner/flags.hpp) and the three front ends built on
-// it: tcnsim (tools/tcnsim_args.hpp), the figure benches and bench/suite
-// (bench/bench_util.hpp) and bench/atlas (bench/atlas.hpp). Covers the
-// shared reject rules, the SweepOptions mapping, each front end's flag set
-// and defaults, and -- by running the built binaries -- that every
-// malformed command exits 2 at once with a message naming the flag.
+// The flag table (runner/flags.hpp) and the front ends built on it: tcnsim
+// (tools/tcnsim_args.hpp), the figure benches and bench/suite
+// (bench/bench_util.hpp), bench/atlas (bench/atlas.hpp) and
+// bench/micro_core. Covers the shared reject rules, the SweepOptions
+// mapping, each front end's flag set and defaults, and -- by running the
+// built binaries -- that every malformed command exits 2 at once with a
+// message naming the flag.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -31,9 +32,12 @@ bench::Args parse_bench(const Argv& args) {
   return a;
 }
 
+/// The flags of `table`, without its section headings.
 std::set<std::string> row_names(const runner::FlagTable& table) {
   std::set<std::string> out;
-  for (const auto& row : table) out.insert(row.name);
+  for (const auto& row : table) {
+    if (!row.name.empty()) out.insert(row.name);
+  }
   return out;
 }
 
@@ -92,7 +96,8 @@ TEST(SweepFlags, EveryRejectNamesTheFlag) {
       {"tcnsim",
        {"--on-failure", "cancel_all", "--retries", "3"},
        "--on-failure"},
-      // Forwarded flags reject through core::parse_cli, also naming them.
+      // The experiment rows name their flag too, including the rejects
+      // of the name lookups that do not know it.
       {"tcnsim", {"--scheme", "nosuch"}, "--scheme"},
       {"tcnsim", {"--sched", "nosuch"}, "--sched"},
       {"tcnsim", {"--workload", "nosuch"}, "--workload"},
@@ -100,6 +105,12 @@ TEST(SweepFlags, EveryRejectNamesTheFlag) {
       {"tcnsim", {"--faults", "squeeze:sw0.p0:inf:0:10"}, "--faults"},
       {"tcnsim", {"--traffic", "poisson:web:websearch:nan"}, "--traffic"},
       {"tcnsim", {"--bogus"}, "unknown flag '--bogus'"},
+      {"tcnsim", {"--load"}, "--load: missing value"},
+      {"tcnsim", {"--services", "0"}, "--services"},
+      {"tcnsim", {"--services", "4294967297"}, "--services"},
+      // A switch takes no value, so the next token is a flag of its own.
+      {"tcnsim", {"--pias", "1"}, "unknown flag '1'"},
+      {"tcnsim", {""}, "unknown flag ''"},
   };
   for (const Reject& c : cases) {
     std::string what;
@@ -204,12 +215,13 @@ TEST(SweepFlags, ResumeLoadsTheJournalAndExtendsItInPlace) {
   }
 }
 
-TEST(SweepFlags, TcnsimForwardsEveryOtherFlagToParseCli) {
+TEST(SweepFlags, TcnsimParsesExperimentAndSweepFlagsInOneTable) {
   const auto a = tools::parse_tcnsim_args(
       {"--scheme", "codel", "--loads", "0.5,0.7", "--pias", "--seeds", "1,2",
-       "--flows", "50", "--jobs", "3"});
+       "--flows", "50", "--sack", "--jobs", "3"});
   EXPECT_EQ(a.cfg.scheme, core::Scheme::kCodel);
   EXPECT_TRUE(a.cfg.pias);
+  EXPECT_TRUE(a.cfg.tcp.sack);
   EXPECT_EQ(a.cfg.num_flows, 50u);
   EXPECT_EQ(a.sweep.loads, (std::vector<double>{0.5, 0.7}));
   EXPECT_EQ(a.seeds, (std::vector<std::uint64_t>{1, 2}));
@@ -219,14 +231,43 @@ TEST(SweepFlags, TcnsimForwardsEveryOtherFlagToParseCli) {
 TEST(FlagTable, UsagePutsHelpInOneColumn) {
   std::string sink;
   runner::FlagTable table;
+  table.push_back({"", "", "section:", {}});
   table.push_back({"--a", "N", "first\nsecond", runner::path_setter(sink)});
   table.push_back({"--a-very-long-flag-name", "VALUE", "help",
                    runner::path_setter(sink)});
+  table.push_back({"--switch", "", "no value", {}});
   EXPECT_EQ(runner::flags_usage(table),
+            "section:\n"
             "  --a N                       first\n"
             "                              second\n"
             "  --a-very-long-flag-name VALUE\n"
-            "                              help\n");
+            "                              help\n"
+            "  --switch                    no value\n");
+}
+
+// A row with an empty metavar is a switch: its setter runs with an empty
+// value and the next token is parsed as a flag. A heading matches no token.
+TEST(FlagTable, SwitchesTakeNoValueAndHeadingsMatchNoToken) {
+  int flips = 0;
+  std::string path;
+  runner::FlagTable table;
+  table.push_back({"", "", "section:", {}});
+  table.push_back({"--flip", "", "a switch",
+                   [&flips](const std::string& flag, const std::string& v) {
+                     EXPECT_EQ(flag, "--flip");
+                     EXPECT_EQ(v, "");
+                     ++flips;
+                   }});
+  table.push_back({"--path", "PATH", "a value", runner::path_setter(path)});
+  runner::parse_flags(table, {"--flip", "--path", "p", "--flip"});
+  EXPECT_EQ(flips, 2);
+  EXPECT_EQ(path, "p");
+  runner::parse_flags(table, {"--path", "--flip"});  // a value, not a flag
+  EXPECT_EQ(path, "--flip");
+  EXPECT_EQ(flips, 2);
+  EXPECT_THROW(runner::parse_flags(table, {""}), std::invalid_argument);
+  EXPECT_THROW(runner::parse_flags(table, {"--flip", "x"}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------- flag sets and defaults
@@ -243,12 +284,44 @@ TEST(FrontEnds, AcceptTheSameFlagsAndDefaults) {
     return extra;
   };
 
+  // tcnsim: its 32 experiment flags, --seeds and the sweep and grid rows,
+  // each once; moving the experiment flags onto the table added none.
   tools::TcnsimArgs tcnsim;
   const auto tcnsim_table = tools::tcnsim_flags(tcnsim);
-  EXPECT_EQ(row_names(tcnsim_table),
-            with({"--seeds", "--fault-grid", "--traffic-grid"}));
+  const std::set<std::string> experiment = {
+      "--topology", "--hosts", "--scheme", "--sched", "--rtt-lambda-us",
+      "--red-k-bytes", "--load", "--flows", "--services", "--workload",
+      "--pias", "--per-flow-connections", "--persistent-connections",
+      "--transport", "--sack", "--delayed-ack", "--rto-min-us", "--faults",
+      "--traffic", "--check-invariants", "--fail-on-invariant",
+      "--wall-budget-ms", "--event-budget", "--sim-time-budget-s",
+      "--pending-budget", "--time-limit-s", "--metrics-out", "--trace-out",
+      "--sample-interval-us", "--sample-ring", "--series-out", "--seed"};
+  ASSERT_EQ(experiment.size(), 32u);
+  auto tcnsim_rows = with({"--seeds", "--fault-grid", "--traffic-grid"});
+  tcnsim_rows.insert(experiment.begin(), experiment.end());
+  EXPECT_EQ(row_names(tcnsim_table), tcnsim_rows);
+  EXPECT_EQ(tcnsim_rows.size(), 42u);
   EXPECT_EQ(tcnsim.sweep.jobs, 1u);
   EXPECT_TRUE(tcnsim.sweep.loads.empty());
+  // Each flag has one row, and the switches are the rows with no metavar.
+  std::size_t named = 0;
+  std::set<std::string> switches;
+  for (const auto& row : tcnsim_table) {
+    if (row.name.empty()) continue;
+    ++named;
+    if (row.metavar.empty()) switches.insert(row.name);
+  }
+  EXPECT_EQ(named, 42u);
+  EXPECT_EQ(switches,
+            (std::set<std::string>{"--pias", "--per-flow-connections",
+                                   "--persistent-connections", "--sack",
+                                   "--delayed-ack", "--check-invariants",
+                                   "--fail-on-invariant"}));
+  // The --sched metavar advertises the parameterized rank schedulers.
+  const std::string tcnsim_help = runner::flags_usage(tcnsim_table);
+  EXPECT_NE(tcnsim_help.find("sp-pifo[:levels]"), std::string::npos);
+  EXPECT_NE(tcnsim_help.find("aifo[:window,k]"), std::string::npos);
 
   bench::Args bench_args;
   const auto bench_table = bench::Args::flags(bench_args);
@@ -315,7 +388,8 @@ Exit run(const std::string& binary, const Argv& args, bool keep_stdout) {
 // Each of these was accepted, hung or aborted before the flag table: the
 // fig06 ones ran a full sweep, hung (--flows -5) or aborted on an uncaught
 // SweepSpec error (--loads ""); the atlas ones printed a cell; the tcnsim
-// faults cast NaN/inf into sim::Time or uint64_t.
+// faults cast NaN/inf into sim::Time or uint64_t, and --services cast
+// 4294967297 to one service.
 TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
   const std::vector<std::pair<std::string, std::vector<Argv>>> cases = {
       {FIG06_BIN,
@@ -334,7 +408,16 @@ TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
         {"--json", ""},
         {"--faults", "linkdown:sw0.p0:nan:20"},
         {"--faults", "squeeze:sw0.p0:inf:0:10"},
-        {"--traffic", "poisson:web:websearch:nan"}}},
+        {"--traffic", "poisson:web:websearch:nan"},
+        {"--services", "4294967297"},
+        {"--services", "0"}}},
+      // micro_core ran --min-time inf forever and --min-time abc as 0.
+      {MICRO_CORE_BIN,
+       {{"--min-time", "inf"},
+        {"--min-time", "abc"},
+        {"--min-time", "0"},
+        {"--min-time", "-1"},
+        {"--json", ""}}},
   };
   for (const auto& [binary, commands] : cases) {
     for (const Argv& args : commands) {
@@ -349,6 +432,16 @@ TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
           << binary << ": " << e.output;
     }
   }
+}
+
+// micro_core printed "wrote /dev/full" and exited 0 when the write failed.
+TEST(Binaries, MicroCoreFailsWhenTheJsonWriteFails) {
+  const Exit e = run(MICRO_CORE_BIN,
+                     {"--min-time", "0.001", "--json", "/dev/full"},
+                     /*keep_stdout=*/false);
+  EXPECT_EQ(e.status, 1) << e.output;
+  EXPECT_NE(e.output.find("write failed for '/dev/full'"), std::string::npos)
+      << e.output;
 }
 
 TEST(Binaries, HelpNamesEveryFlag) {
@@ -374,6 +467,12 @@ TEST(Binaries, HelpNamesEveryFlag) {
             << binary << " --help lacks " << name;
       }
     }
+  }
+  const Exit micro = run(MICRO_CORE_BIN, {"--help"}, /*keep_stdout=*/true);
+  EXPECT_EQ(micro.status, 0);
+  for (const char* name : {"--json", "--min-time", "--gate"}) {
+    EXPECT_NE(micro.output.find(name), std::string::npos)
+        << "micro_core --help lacks " << name;
   }
 }
 

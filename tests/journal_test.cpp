@@ -428,6 +428,104 @@ TEST(Journal, UnknownStabilityRegimeIsCorrupt) {
   std::remove(path.c_str());
 }
 
+/// `text` without its `"key":<number>` members (and a comma beside each),
+/// from byte `from` on.
+std::string strip_key(std::string text, const std::string& key,
+                      std::size_t from = 0) {
+  const std::string member = "\"" + key + "\":";
+  for (auto at = text.find(member, from); at != std::string::npos;
+       at = text.find(member, at)) {
+    auto end = text.find_first_not_of("0123456789", at + member.size());
+    if (text[end] == ',') {
+      ++end;
+    } else if (text[at - 1] == ',') {
+      --at;
+    }
+    text.erase(at, end - at);
+  }
+  return text;
+}
+
+/// The byte offset of the last line of `text`, which ends in a newline.
+std::size_t last_line_start(const std::string& text) {
+  return text.rfind('\n', text.size() - 2) + 1;
+}
+
+TEST(Journal, CompleteTailLineWithABadFieldIsCorrupt) {
+  const std::string path = temp_path("journal_bad_tail.jsonl");
+  const auto spec = small_spec();
+  runner::SweepOptions opt;
+  opt.journal_out = path;
+  opt.journal_name = spec.name;
+  ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
+
+  // The last line parses, so no crash tore it: a mistyped counter there is
+  // corrupt, as it is mid-file, not a torn tail to drop and re-run.
+  std::string text = slurp(path);
+  const std::string key = "\"switch_drops\":";
+  const auto value = text.find(key, last_line_start(text)) + key.size();
+  text.replace(value, text.find(',', value) - value, "\"33\"");
+  spit(path, text);
+  try {
+    const auto data = runner::load_journal(path);
+    ADD_FAILURE() << "loaded, torn_tail=" << data.torn_tail;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 5:"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+// A journal written before sched_drops, sim_peak_pending and
+// sim_calendar_resizes existed resumes with each at 0 and every other field
+// as written. switch_marks is as old as the format, so a line without it is
+// corrupt, mid-file or as the last line.
+TEST(Journal, OldJournalWithoutNewerCountersResumes) {
+  const std::string path = temp_path("journal_old_format.jsonl");
+  const auto spec = small_spec();
+  runner::SweepOptions opt;
+  opt.journal_out = path;
+  opt.journal_name = spec.name;
+  ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
+  const std::string full = slurp(path);
+  const auto resume = [&](const std::string& text) {
+    spit(path, text);
+    auto data = runner::load_journal(path);
+    runner::SweepOptions ropt;
+    ropt.resume = &data;
+    return runner::run_sweep(spec, ropt);
+  };
+
+  auto current = resume(full);
+  std::string old_text = full;
+  for (const char* key :
+       {"sched_drops", "sim_peak_pending", "sim_calendar_resizes"}) {
+    old_text = strip_key(old_text, key);
+    EXPECT_EQ(old_text.find(key), std::string::npos) << key;
+  }
+  const auto old = resume(old_text);
+  EXPECT_EQ(old.restored, 4u);
+  ASSERT_EQ(old.runs.size(), current.runs.size());
+  for (std::size_t i = 0; i < old.runs.size(); ++i) {
+    auto& now = current.runs[i].report;
+    EXPECT_GT(now.sim_peak_pending, 0u);  // so the 0 below is a default
+    EXPECT_EQ(old.runs[i].report.sched_drops, 0u);
+    EXPECT_EQ(old.runs[i].report.sim_peak_pending, 0u);
+    EXPECT_EQ(old.runs[i].report.sim_calendar_resizes, 0u);
+    now.sched_drops = now.sim_peak_pending = now.sim_calendar_resizes = 0;
+    EXPECT_EQ(old.runs[i].wall_ms, current.runs[i].wall_ms);
+    EXPECT_EQ(old.runs[i].events_per_sec, current.runs[i].events_per_sec);
+  }
+  EXPECT_EQ(runner::to_json(old, "unit", /*include_timing=*/false),
+            runner::to_json(current, "unit", /*include_timing=*/false));
+
+  for (const std::size_t from : {std::size_t{0}, last_line_start(full)}) {
+    spit(path, strip_key(full, "switch_marks", from));
+    EXPECT_THROW(runner::load_journal(path), std::runtime_error) << from;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Journal, DuplicateIndexKeepsTheLastRecord) {
   const std::string path = temp_path("journal_dup.jsonl");
   const auto jobs = small_spec().expand();

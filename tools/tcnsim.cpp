@@ -14,6 +14,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runner/journal.hpp"
@@ -25,16 +26,15 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
   if (tcn::runner::wants_help(args)) {
     tcn::tools::TcnsimArgs defaults;
-    std::printf("%ssweep execution (tool-level flags, handled by tcnsim "
-                "itself):\n%s",
-                tcn::core::cli_usage().c_str(),
+    std::printf("tcnsim -- run a TCN paper experiment from the command line\n"
+                "\nusage: tcnsim [flags]   (--help: this text)\n\n%s",
                 tcn::runner::flags_usage(tcn::tools::tcnsim_flags(defaults))
                     .c_str());
     return 0;
   }
   try {
     const auto cli = tcn::tools::parse_tcnsim_args(args);
-    const auto& [flags, seeds, cfg] = cli;
+    const auto& [flags, seeds, cfg] = std::tie(cli.sweep, cli.seeds, cli.cfg);
     const auto& loads = flags.loads;
 
     const bool single = loads.size() <= 1 && seeds.size() <= 1 &&
