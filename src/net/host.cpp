@@ -1,5 +1,6 @@
 #include "net/host.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "net/marker.hpp"
@@ -34,7 +35,19 @@ void Host::send(PacketPtr p) {
 }
 
 void Host::bind(std::uint16_t local_port, Handler h) {
-  handlers_[local_port] = std::move(h);
+  if (!handlers_.try_emplace(local_port, std::move(h)).second) {
+    throw std::runtime_error("host " + name_ + ": port " +
+                             std::to_string(local_port) + " is already bound");
+  }
+}
+
+std::uint16_t Host::allocate_port() {
+  if (next_port_ > UINT16_MAX) {
+    throw std::runtime_error("host " + name_ +
+                             ": out of ephemeral ports (1024-65535 all "
+                             "handed out)");
+  }
+  return static_cast<std::uint16_t>(next_port_++);
 }
 
 void Host::unbind(std::uint16_t local_port) { handlers_.erase(local_port); }

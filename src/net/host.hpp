@@ -32,7 +32,8 @@ class Host final : public Node {
   void send(PacketPtr p);
 
   /// Register a receive handler for a local port number. Packets whose dport
-  /// matches are delivered to the handler after the stack delay.
+  /// matches are delivered to the handler after the stack delay. Throws
+  /// std::runtime_error naming the host if the port is already bound.
   void bind(std::uint16_t local_port, Handler h);
   void unbind(std::uint16_t local_port);
 
@@ -44,8 +45,10 @@ class Host final : public Node {
   [[nodiscard]] sim::Time stack_delay() const noexcept { return stack_delay_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
 
-  /// Allocate a fresh ephemeral port number (never reused within a run).
-  std::uint16_t allocate_port() { return next_port_++; }
+  /// Allocate a fresh ephemeral port number, 1024 to 65535, each once per
+  /// host. Throws std::runtime_error naming the host once all 64,512 are
+  /// handed out.
+  std::uint16_t allocate_port();
 
  private:
   sim::Simulator& sim_;
@@ -54,7 +57,7 @@ class Host final : public Node {
   sim::Time stack_delay_;
   std::unique_ptr<Port> nic_;
   std::unordered_map<std::uint16_t, Handler> handlers_;
-  std::uint16_t next_port_ = 1024;
+  std::uint32_t next_port_ = 1024;
 };
 
 }  // namespace tcn::net

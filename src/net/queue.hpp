@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "net/packet.hpp"
+#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace tcn::net {
@@ -87,7 +87,7 @@ class PacketQueue {
   [[nodiscard]] QueueCounters& counters() noexcept { return counters_; }
 
  private:
-  std::deque<PacketPtr> q_;
+  sim::Fifo<PacketPtr> q_;
   QueueCounters counters_;
 };
 

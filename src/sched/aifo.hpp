@@ -21,11 +21,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/scheduler.hpp"
 #include "sched/rank.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -77,9 +77,9 @@ class AifoScheduler final : public net::Scheduler {
   std::vector<std::int64_t> window_;
   std::size_t window_head_ = 0;
   std::size_t window_count_ = 0;
-  // Global-FIFO emulation over the port's physical queues: per-queue deque
+  // Global-FIFO emulation over the port's physical queues: per-queue FIFO
   // of (arrival seq, rank); select() takes the smallest head seq.
-  std::vector<std::deque<Entry>> entries_;
+  std::vector<sim::Fifo<Entry>> entries_;
   std::uint64_t arrivals_ = 0;
   // Rank computed by admit() for the packet the Port is currently
   // admitting; on_enqueue() attaches it to the entry (the Port calls

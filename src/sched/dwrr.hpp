@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/scheduler.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -64,7 +64,7 @@ class DwrrScheduler final : public net::Scheduler,
   std::vector<std::uint64_t> quanta_;
   double beta_;
   sim::Time idle_reset_;
-  std::deque<std::size_t> active_list_;
+  sim::Fifo<std::size_t> active_list_;
   std::vector<QState> state_;
   std::vector<sim::Time> smoothed_round_;
   std::size_t in_service_ = SIZE_MAX;  // queue returned by last select()

@@ -12,12 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "net/scheduler.hpp"
 #include "sched/rank.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -46,7 +46,7 @@ class PifoScheduler final : public net::Scheduler {
 
  private:
   sched::RankProgram rank_;
-  std::vector<std::deque<std::int64_t>> ranks_;  // parallel to queues
+  std::vector<sim::Fifo<std::int64_t>> ranks_;  // parallel to queues
 };
 
 }  // namespace tcn::sched

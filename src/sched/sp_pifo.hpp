@@ -20,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/scheduler.hpp"
 #include "sched/rank.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -67,8 +67,8 @@ class SpPifoScheduler final : public net::Scheduler {
   };
 
   sched::RankProgram rank_;
-  std::vector<std::int64_t> bounds_;        // per level, level 0 = highest
-  std::vector<std::deque<Entry>> entries_;  // parallel to the physical queues
+  std::vector<std::int64_t> bounds_;       // per level, level 0 = highest
+  std::vector<sim::Fifo<Entry>> entries_;  // parallel to the physical queues
   std::uint64_t arrivals_ = 0;
   std::uint64_t push_ups_ = 0;
   std::uint64_t push_downs_ = 0;

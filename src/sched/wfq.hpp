@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/scheduler.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -35,7 +35,7 @@ class WfqScheduler final : public net::Scheduler {
 
  private:
   std::vector<double> weights_;
-  std::vector<std::deque<double>> tags_;  // finish tags parallel to queues
+  std::vector<sim::Fifo<double>> tags_;  // finish tags parallel to queues
   std::vector<double> last_finish_;
   double vtime_ = 0.0;
   std::size_t backlog_pkts_ = 0;

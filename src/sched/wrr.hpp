@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/scheduler.hpp"
+#include "sim/fifo.hpp"
 
 namespace tcn::sched {
 
@@ -28,7 +28,7 @@ class WrrScheduler final : public net::Scheduler {
   std::vector<std::uint32_t> weights_;
   std::vector<std::uint32_t> credit_;  // packets left this visit
   std::vector<bool> active_;
-  std::deque<std::size_t> active_list_;
+  sim::Fifo<std::size_t> active_list_;
 };
 
 }  // namespace tcn::sched

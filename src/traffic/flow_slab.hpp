@@ -9,11 +9,13 @@
 // working set is the peak number of *concurrently active* flows, not the
 // lifetime arrival count. A slot's TcpSender/TcpSink are destroyed at
 // recycle (cancelling timers, unbinding ports, releasing their lazy
-// deque/map/ack state) and the next flow reconstructs into the same slot.
+// message ring/map/ack state) and the next flow reconstructs into the same
+// slot.
 //
-// Ports recycle too: Host::allocate_port() is a bare uint16 bump that wraps
-// after ~64k allocations, so the slab keeps a per-host free list and a
-// host's port footprint is bounded by its peak concurrent flows.
+// Ports recycle too: Host::allocate_port() hands out each of a host's
+// 64,512 ephemeral ports once and then throws, so the slab keeps a per-host
+// free list and a host's port footprint is bounded by its peak concurrent
+// flows.
 //
 // Like PacketPool and PacketUidScope, the slab and the flow-uid counter
 // install per run via thread-local RAII scopes, so parallel sweep jobs are

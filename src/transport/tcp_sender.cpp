@@ -86,7 +86,8 @@ std::uint8_t TcpSender::dscp_for(std::uint64_t seq) const {
   // Pending messages cover [snd_una_, stream_end_); every (re)transmitted
   // seq falls inside one of them. PIAS-style tagging is relative to the
   // message start.
-  for (const auto& m : messages_) {
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     if (seq < m.end) {
       return m.dscp ? m.dscp(seq - m.begin) : default_dscp_(seq - m.begin);
     }

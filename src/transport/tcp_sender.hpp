@@ -21,12 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 
 #include "net/host.hpp"
 #include "obs/metrics.hpp"
+#include "sim/fifo.hpp"
 #include "transport/tcp.hpp"
 
 namespace tcn::transport {
@@ -119,7 +119,7 @@ class TcpSender {
   CompletionCb legacy_complete_;
   bool legacy_started_ = false;
 
-  std::deque<Message> messages_;  // pending (not fully acked), FIFO
+  sim::Fifo<Message> messages_;   // pending (not fully acked)
   std::uint64_t stream_end_ = 0;  // total bytes ever enqueued
   sim::Time start_time_ = 0;
   bool started_ = false;

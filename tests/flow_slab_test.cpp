@@ -4,7 +4,7 @@
 // with counting wrappers -- here counting frees too -- so the open-loop
 // memory claim is asserted directly: steady-state flow churn through the
 // slab keeps the number of *live* heap allocations flat. Per-flow gross
-// allocations still happen (TcpSender/TcpSink own deques, maps and
+// allocations still happen (TcpSender/TcpSink own message rings, maps and
 // callbacks), but every one is returned at recycle, so lifetime flow count
 // never shows up in the heap footprint -- only peak concurrency does.
 // The override is per-binary, which is why these tests live in their own
@@ -157,7 +157,7 @@ TEST(FlowSlab, PortsRecycleThroughPerHostFreeLists) {
 
   // The same port number comes back instead of bumping the host's counter,
   // so a host's port footprint is bounded by peak concurrency -- not by the
-  // lifetime flow count (Host::allocate_port wraps at 64k).
+  // lifetime flow count (Host::allocate_port runs out after 64,512).
   EXPECT_EQ(slab.checkout_port(h), port);
   // A different host draws from its own pool.
   net::Host other(s, "h1", 2, nic);

@@ -5,6 +5,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "aqm/tcn.hpp"
 #include "net/fifo_scheduler.hpp"
@@ -502,11 +504,43 @@ TEST(HostTest, StackDelayAppliedBothWays) {
 TEST(HostTest, EphemeralPortsNeverRepeat) {
   sim::Simulator s;
   PortConfig nic;
-  Host h(s, "h", 1, nic);
+  Host h(s, "h7", 1, nic);
   std::set<std::uint16_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(seen.insert(h.allocate_port()).second);
+  for (int i = 0; i < 65536 - 1024; ++i) {
+    const std::uint16_t port = h.allocate_port();
+    ASSERT_GE(port, 1024u);
+    ASSERT_TRUE(seen.insert(port).second) << "port " << port << " repeated";
   }
+  // All 64,512 are out: the next request fails, naming the host, instead of
+  // wrapping to 0 and then re-issuing ports live flows hold.
+  try {
+    h.allocate_port();
+    FAIL() << "port 65,513 was handed out";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("h7"), std::string::npos) << e.what();
+  }
+}
+
+TEST(HostTest, BindingABoundPortThrows) {
+  sim::Simulator s;
+  PortConfig nic;
+  Host h(s, "h7", 1, nic);
+  int first = 0;
+  h.bind(10, [&](PacketPtr) { ++first; });
+  try {
+    h.bind(10, [](PacketPtr) {});
+    FAIL() << "port 10 was bound twice";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("h7"), std::string::npos) << e.what();
+  }
+  // The live handler still gets the port's packets; after unbind the port
+  // can be bound again.
+  auto p = make_test_packet(100);
+  p->dport = 10;
+  h.receive(std::move(p), 0);
+  EXPECT_EQ(first, 1);
+  h.unbind(10);
+  h.bind(10, [](PacketPtr) {});
 }
 
 }  // namespace

@@ -1,21 +1,30 @@
-// PacketPool and hot-path allocation tests.
+// PacketPool, sim::Fifo and hot-path allocation tests.
 //
 // This binary overrides global operator new/delete with counting wrappers
 // so the central claim of the zero-allocation refactor -- steady-state
-// event scheduling and packet churn perform no heap allocations at all --
-// is asserted directly, not inferred from throughput. The override is
-// per-binary, which is why these tests live in their own test target.
+// event scheduling, packet churn and the port pipeline perform no heap
+// allocations at all -- is asserted directly, not inferred from
+// throughput. The override is per-binary, which is why these tests live in
+// their own test target.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "aqm/tcn.hpp"
+#include "net/host.hpp"
 #include "net/packet.hpp"
+#include "net/port.hpp"
+#include "sched/dwrr.hpp"
+#include "sim/fifo.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -48,6 +57,18 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace tcn {
+
+namespace sim {
+/// Fakes a ring's element count, so the 2^32 - 1 limit is reachable
+/// without allocating 2^32 elements.
+struct FifoTestPeer {
+  template <typename T>
+  static void set_size(Fifo<T>& f, std::uint32_t n) {
+    f.size_ = n;
+  }
+};
+}  // namespace sim
+
 namespace {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
@@ -255,6 +276,249 @@ TEST(HotPath, SteadyStateEventAndPacketChurnIsAllocationFree) {
   // And the pool-side view agrees: no slab growth after warmup, all reuse.
   EXPECT_EQ(pool.fresh_allocs(), fresh_after_warmup);
   EXPECT_GE(pool.reuses(), 10'000u - fresh_after_warmup);
+}
+
+// Hands what the host's NIC sends to a switch port, queue = DSCP.
+class PortFeed final : public net::Node {
+ public:
+  explicit PortFeed(net::Port& port) : port_(port) {}
+  void receive(net::PacketPtr p, std::size_t) override {
+    const std::size_t q = p->dscp;
+    port_.enqueue(std::move(p), q);
+  }
+  [[nodiscard]] std::string_view name() const override { return "feed"; }
+
+ private:
+  net::Port& port_;
+};
+
+// Recycles what the switch port delivers.
+class Drain final : public net::Node {
+ public:
+  void receive(net::PacketPtr, std::size_t) override { ++received; }
+  [[nodiscard]] std::string_view name() const override { return "drain"; }
+  std::uint64_t received = 0;
+};
+
+TEST(HotPath, SteadyStatePortPipelineIsAllocationFree) {
+  net::PacketUidScope uids;
+  net::PacketPool pool;
+  net::PacketPool::Scope scope(pool);
+  sim::Simulator s;
+
+  // Host (stack delay, FIFO NIC at 40G) -> 4-queue DWRR + TCN port at 10G
+  // -> drain. Each 5 us the host sends one 1500-byte packet per queue: 4.8
+  // us of work for the port, so its queues fill and empty and DWRR's active
+  // list gains and loses queues on every burst.
+  net::PortConfig nic;
+  nic.rate_bps = 40'000'000'000ULL;
+  net::Host host(s, "h0", 1, nic, /*stack_delay=*/2 * sim::kMicrosecond);
+  net::PortConfig cfg;
+  cfg.rate_bps = 10'000'000'000ULL;
+  cfg.num_queues = 4;
+  net::Port port(
+      s, "sw.p0", cfg,
+      std::make_unique<sched::DwrrScheduler>(
+          std::vector<std::uint64_t>(4, 1500)),
+      std::make_unique<aqm::TcnMarker>(2 * sim::kMicrosecond));
+  PortFeed feed(port);
+  Drain drain;
+  host.connect(&feed, 0);
+  port.connect(&drain, 0);
+
+  struct Bursts {
+    sim::Simulator* s;
+    net::Host* host;
+    int* remaining;
+    void operator()() {
+      for (std::uint8_t q = 0; q < 4 && *remaining > 0; ++q, --*remaining) {
+        auto p = net::make_packet();
+        p->size = 1500;
+        p->dscp = q;
+        p->ecn = net::Ecn::kEct0;
+        p->dst = 2;
+        host->send(std::move(p));
+      }
+      if (*remaining > 0) s->schedule_in(5 * sim::kMicrosecond, *this);
+    }
+  };
+
+  int remaining = 10'000;
+  s.schedule_at(0, Bursts{&s, &host, &remaining});
+  s.run();  // warmup: pools, calendar, and every ring at its peak depth
+  ASSERT_EQ(drain.received, 10'000u);
+
+  remaining = 10'000;
+  s.schedule_in(5 * sim::kMicrosecond, Bursts{&s, &host, &remaining});
+  const std::uint64_t allocs_before = allocs();
+  s.run();
+  const std::uint64_t allocs_after = allocs();
+  ASSERT_EQ(drain.received, 20'000u);
+
+  EXPECT_EQ(allocs_after - allocs_before, 0u);
+  // The pipeline did the work the test is about: all four queues carried
+  // traffic and TCN marked some of it.
+  for (std::size_t q = 0; q < 4; ++q) {
+    EXPECT_EQ(port.queue_counters(q).tx_packets, 5'000u);
+  }
+  EXPECT_GT(port.counters().marks, 0u);
+}
+
+// -------------------------------------------------------------- sim::Fifo ----
+
+TEST(Fifo, MatchesDequeOverRandomPushPopStreams) {
+  // The push share swings between 0.65 and 0.35 every 1000 steps, so rings
+  // grow, drain and grow again from wherever their head has got to.
+  std::uint64_t wrapped_growths = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Rng rng(seed);
+    sim::Fifo<std::uint64_t> ring;
+    std::deque<std::uint64_t> ref;
+    // The ring's head moves one slot per pop and returns to 0 on growth.
+    std::uint64_t pops_since_growth = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      const double push_share = (step / 1000) % 2 == 0 ? 0.65 : 0.35;
+      if (ref.empty() || rng.uniform() < push_share) {
+        const std::uint64_t v = rng.uniform_int(0, UINT64_MAX);
+        if (ring.size() == ring.capacity()) {
+          if (ring.capacity() != 0 &&
+              pops_since_growth % ring.capacity() != 0) {
+            ++wrapped_growths;
+          }
+          pops_since_growth = 0;
+        }
+        ring.push_back(v);
+        ref.push_back(v);
+      } else {
+        ASSERT_EQ(ring.front(), ref.front());
+        ring.pop_front();
+        ref.pop_front();
+        ++pops_since_growth;
+      }
+      ASSERT_EQ(ring.size(), ref.size());
+      ASSERT_EQ(ring.empty(), ref.empty());
+      if (step % 97 == 0) {
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(ring[i], ref[i]) << "seed " << seed << " step " << step;
+        }
+      }
+    }
+  }
+  EXPECT_GT(wrapped_growths, 0u);
+}
+
+TEST(Fifo, GrowsWhileWrappedInOrder) {
+  sim::Fifo<int> ring;
+  const std::size_t cap = sim::Fifo<int>::kFirstCapacity;
+  int next_in = 0;
+  int next_out = 0;
+  for (std::size_t i = 0; i < cap; ++i) ring.push_back(next_in++);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  for (int i = 0; i < 3; ++i) ring.push_back(next_in++);  // wraps, full
+  ASSERT_EQ(ring.capacity(), cap);
+  ring.push_back(next_in++);  // grows with the head mid-array
+  EXPECT_EQ(ring.capacity(), 2 * cap);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], next_out + static_cast<int>(i));
+  }
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Fifo, PacketsGoBackToTheirPoolOnPopAndOnDestruction) {
+  net::PacketUidScope uids;
+  net::PacketPool pool;
+  net::PacketPool::Scope scope(pool);
+  std::deque<std::uint64_t> uids_in;
+  {
+    sim::Fifo<net::PacketPtr> ring;
+    auto push = [&] {
+      auto p = net::make_packet();
+      uids_in.push_back(p->uid);
+      ring.push_back(std::move(p));
+    };
+    for (int i = 0; i < 100; ++i) push();
+    EXPECT_EQ(pool.live(), 100u);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(ring.front()->uid, uids_in.front());
+      uids_in.pop_front();
+      ring.pop_front();
+    }
+    EXPECT_EQ(pool.live(), 60u);
+    for (int i = 0; i < 100; ++i) push();  // wraps, then grows
+    EXPECT_EQ(pool.live(), 160u);
+
+    sim::Fifo<net::PacketPtr> moved = std::move(ring);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), 0u);
+    ASSERT_EQ(moved.size(), 160u);
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+      ASSERT_EQ(moved[i]->uid, uids_in[i]);
+    }
+  }
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.recycles(), 200u);
+}
+
+TEST(Fifo, IdleRingsAllocateNothing) {
+  std::uint64_t before = allocs();
+  {
+    sim::Fifo<net::PacketPtr> ring;
+    sim::Fifo<net::PacketPtr> other(std::move(ring));
+  }
+  EXPECT_EQ(allocs() - before, 0u);
+
+  before = allocs();
+  {
+    // One allocation, the vector's own array; none per ring or per queue.
+    std::vector<sim::Fifo<std::uint64_t>> rings(64);
+  }
+  EXPECT_EQ(allocs() - before, 1u);
+  before = allocs();
+  { std::vector<net::PacketQueue> queues(64); }
+  EXPECT_EQ(allocs() - before, 1u);
+
+  // A ring allocates on its first push and on each doubling, then never
+  // again at or below that depth.
+  sim::Fifo<std::uint64_t> ring;
+  before = allocs();
+  ring.push_back(1);
+  EXPECT_EQ(allocs() - before, 1u);
+  for (std::uint64_t i = 0; i < 200; ++i) ring.push_back(i);
+  before = allocs();
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    ring.pop_front();
+    ring.push_back(i);
+  }
+  EXPECT_EQ(allocs() - before, 0u);
+}
+
+TEST(Fifo, PushPastTheLimitThrowsLengthError) {
+  sim::Fifo<int> ring;
+  sim::FifoTestPeer::set_size(ring, UINT32_MAX);
+  EXPECT_THROW(ring.push_back(1), std::length_error);
+  sim::FifoTestPeer::set_size(ring, 0);
+  EXPECT_EQ(ring.capacity(), 0u);
+}
+
+TEST(FifoDeathTest, EmptyRingAccessAborts) {
+  if (!sim::kFifoChecks) {
+    GTEST_SKIP() << "checks are compiled in only without NDEBUG or with "
+                    "_GLIBCXX_ASSERTIONS";
+  }
+  sim::Fifo<int> ring;
+  EXPECT_DEATH((void)ring.front(), "front\\(\\) on an empty ring");
+  EXPECT_DEATH(ring.pop_front(), "pop_front\\(\\) on an empty ring");
+  ring.push_back(7);
+  ring.pop_front();
+  EXPECT_DEATH((void)ring.front(), "front\\(\\) on an empty ring");
+  EXPECT_DEATH((void)ring[0], "operator\\[\\] past size\\(\\)");
 }
 
 // --------------------------------------------------------- InlineCallback ----
