@@ -43,8 +43,7 @@ struct Result {
   double rate_cov;  ///< coefficient of variation of flow 0's rate over time
 };
 
-Result run(const std::function<std::unique_ptr<net::Marker>()>& marker,
-           std::uint64_t /*seed*/) {
+Result run(const std::function<std::unique_ptr<net::Marker>()>& marker) {
   sim::Simulator simulator;
 
   topo::StarConfig star;
@@ -129,7 +128,11 @@ void report(const char* name, const Result& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  // The seed draws the probabilistic markers' coin flips.
+  std::uint64_t seed = 1;
+  bench::parse_or_exit(argc, argv,
+                       {{"--seed", "S", "RNG seed (default 1)",
+                         runner::number_setter(seed)}});
   std::printf("=== Ablation: DCQCN fairness vs marking profile (4 flows, 10G "
               "bottleneck, asymmetric starting rates) ===\n\n");
   std::printf("%-28s | %23s | %5s | %8s | %8s | %8s\n", "marking scheme",
@@ -139,18 +142,18 @@ int main(int argc, char** argv) {
   // Single-threshold TCN: T = 78us (the Sec. 4.1 standard threshold).
   report("TCN single threshold", run([] {
            return std::make_unique<aqm::TcnMarker>(78 * sim::kMicrosecond);
-         }, args.seed));
+         }));
   // Probabilistic TCN (Sec. 4.3): Tmin 4us, Tmax 160us, Pmax 1%.
   report("TCN-prob (Tmin/Tmax/Pmax)", run([&] {
            return std::make_unique<aqm::TcnProbabilisticMarker>(
                4 * sim::kMicrosecond, 160 * sim::kMicrosecond, 0.01,
-               args.seed);
-         }, args.seed));
+               seed);
+         }));
   // DCQCN's native CP: RED-prob on queue length (Kmin 5KB, Kmax 200KB, 1%).
   report("RED-prob (DCQCN CP)", run([&] {
            return std::make_unique<aqm::RedProbabilisticMarker>(
-               5'000, 200'000, 0.01, args.seed);
-         }, args.seed));
+               5'000, 200'000, 0.01, seed);
+         }));
 
   std::printf("\nExpected shape: TCN-prob and RED-prob columns are nearly "
               "identical -- the sojourn-time profile is a\ndrop-in analogue "

@@ -10,14 +10,14 @@
 using namespace tcn;
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf("=== Ablation: Algorithm-1 dq_thresh sweep (Fig. 2 scenario, "
               "true rate 5Gbps) ===\n\n");
   std::printf("%12s | %11s | %12s | %18s | %10s\n", "dq_thresh",
               "samples/2ms", "convergence", "sample range Gbps", "final Gbps");
   for (const std::uint64_t thresh :
        {5'000ULL, 10'000ULL, 20'000ULL, 40'000ULL, 80'000ULL, 160'000ULL}) {
-    const auto t = bench::run_rate_trace(thresh, args.seed);
+    const auto t = bench::run_rate_trace(thresh);
     const auto conv = t.convergence();
     const std::string conv_s =
         conv < 0 ? "never" : std::to_string(conv / sim::kMicrosecond) + "us";

@@ -27,14 +27,13 @@ struct Row {
   std::uint64_t timeouts;
 };
 
-Row run(core::Scheme scheme, std::uint32_t fanout, std::uint64_t seed) {
+Row run(core::Scheme scheme, std::uint32_t fanout) {
   sim::Simulator simulator;
   core::SchemeParams params;
   params.rtt_lambda = 100 * sim::kMicrosecond;
   params.red_threshold_bytes = 125'000;
   params.codel_target = 25 * sim::kMicrosecond;
   params.codel_interval = 400 * sim::kMicrosecond;  // ~4x base RTT
-  params.seed = seed;
   core::SchedConfig sched;
   sched.kind = core::SchedKind::kFifo;
   sched.num_queues = 1;
@@ -64,7 +63,6 @@ Row run(core::Scheme scheme, std::uint32_t fanout, std::uint64_t seed) {
   cfg.response_bytes = 128'000;
   cfg.num_queries = 200;
   cfg.interval = 5 * sim::kMillisecond;
-  cfg.seed = seed;
   workload::IncastGenerator gen(
       simulator, launch, servers, &network.host(0), cfg,
       [](std::uint32_t, std::uint64_t size) {
@@ -92,7 +90,7 @@ Row run(core::Scheme scheme, std::uint32_t fanout, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf("=== Ablation: incast burst tolerance (10G, 128KB responses, "
               "300KB buffer, DCTCP, 200 queries) ===\n\n");
   std::printf("%7s | %-10s | %12s | %12s | %9s\n", "fanout", "scheme",
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
     for (const auto& s : {SchemeRow{"TCN", core::Scheme::kTcn},
                           SchemeRow{"CoDel", core::Scheme::kCodel},
                           SchemeRow{"RED-queue", core::Scheme::kRedPerQueue}}) {
-      const auto r = run(s.scheme, fanout, args.seed);
+      const auto r = run(s.scheme, fanout);
       std::printf("%7u | %-10s | %12.1f | %12.1f | %9llu\n", fanout, s.name,
                   r.avg_qct_us, r.p99_qct_us,
                   static_cast<unsigned long long>(r.timeouts));

@@ -5,28 +5,29 @@
 // the same PIFO program.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "figures.hpp"
 
 using namespace tcn;
 
 int main(int argc, char** argv) {
-  bench::Args defaults;
-  defaults.flows = 400;
-  defaults.sweep.loads = {0.5, 0.8};
-  const auto args = bench::Args::parse(argc, argv, defaults);
+  bench::FigureDef def;
+  def.name = "ablation_pifo";
+  def.title =
+      "Ablation: TCN under a PIFO scheduler running an STFQ program (web "
+      "search, 4 services)";
+  def.base = bench::testbed_base();
+  def.base.sched.kind = core::SchedKind::kPifoStfq;
+  def.schemes = {{"TCN", core::Scheme::kTcn},
+                 {"CoDel", core::Scheme::kCodel},
+                 {"RED-queue", core::Scheme::kRedPerQueue}};
+  def.flows = 400;
+  def.loads = {0.5, 0.8};
 
-  auto base = bench::testbed_base();
-  base.sched.kind = core::SchedKind::kPifoStfq;
-
-  const int rc = bench::run_fct_sweep(
-      "ablation_pifo",
-      "Ablation: TCN under a PIFO scheduler running an STFQ program "
-      "(web search, 4 services)",
-      base,
-      {{"TCN", core::Scheme::kTcn},
-       {"CoDel", core::Scheme::kCodel},
-       {"RED-queue", core::Scheme::kRedPerQueue}},
-      args);
+  bench::Args args;
+  args.flows = def.flows;
+  args.sweep.loads = def.loads;
+  bench::parse_or_exit(argc, argv, bench::Args::flags(args));
+  const int rc = bench::run_figures(def.name, {def}, args);
   if (rc != 0) return rc;
   std::printf("Expected shape: same ordering as Fig. 6/7 -- TCN needs no "
               "changes for a programmable scheduler,\nwhile the static "

@@ -1,12 +1,14 @@
-// Shared helpers for the figure-reproduction benches: the flag rows every
-// fig*/ablation* binary uses, and the normalized-FCT table printer
-// driven by the parallel sweep runner (src/runner). Every dynamic-workload
-// figure is a scheme x load grid of independent core::FctExperiment runs,
-// executed by runner::run_sweep across --jobs worker threads and aggregated
-// by job index, so the printed tables and the optional BENCH_*.json are
-// byte-identical for any job count.
+// Shared helpers for the figure-reproduction benches: the one parse-or-exit
+// helper every bench parses its own rows through, the rows of the FCT sweep
+// front ends (bench/suite and the sweep ablations), and the normalized-FCT
+// table printer driven by the parallel sweep runner (src/runner). Every
+// dynamic-workload figure is a scheme x load grid of independent
+// core::FctExperiment runs, executed by runner::run_jobs across --jobs
+// worker threads and aggregated by job index, so the printed tables and the
+// optional BENCH_*.json are byte-identical for any job count.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -22,46 +24,12 @@
 
 namespace tcn::bench {
 
-struct Args {
-  std::size_t flows = 2000;
-  std::uint64_t seed = 1;
-  /// Collect per-run metrics and write the merged tcn-metrics-1 document
-  /// here; empty = observability off, "-" = stdout. Byte-identical for any
-  /// --jobs (merge is by job index).
-  std::string metrics_out;
-  /// The shared sweep flags (runner/flags.hpp); --jobs 0 = one worker per
-  /// hardware thread.
-  runner::SweepFlags sweep;
-
-  Args() { sweep.loads = {0.3, 0.5, 0.7, 0.9}; }
-
-  /// The rows every fig*/ablation* binary and bench/suite accept, writing
-  /// into `a`.
-  static runner::FlagTable flags(Args& a);
-  /// Parses argv over `defaults`; prints --help and exits 0, or prints the
-  /// reject and exits 2.
-  static Args parse(int argc, char** argv, const Args& defaults);
-};
-
-inline runner::FlagTable Args::flags(Args& a) {
-  runner::FlagTable table;
-  table.push_back({"--flows", "N", "flows per run",
-                   runner::number_setter(a.flows)});
-  table.push_back({"--seed", "S", "base RNG seed",
-                   runner::number_setter(a.seed)});
-  runner::add_sweep_flags(table, a.sweep);
-  table.push_back({"--metrics-out", "PATH",
-                   "collect per-run observability metrics and write\n"
-                   "the merged tcn-metrics-1 snapshot (\"-\" = stdout)",
-                   runner::path_setter(a.metrics_out)});
-  runner::add_grid_flags(table, a.sweep);
-  return table;
-}
-
-inline Args Args::parse(int argc, char** argv, const Args& defaults) {
+/// Applies argv to `table`: prints --help and exits 0, or prints the
+/// reject and exits 2. A bench's table holds only the rows it reads, so
+/// any other flag is a reject.
+inline void parse_or_exit(int argc, char** argv,
+                          const runner::FlagTable& table) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  Args a = defaults;
-  const runner::FlagTable table = flags(a);
   if (runner::wants_help(args)) {
     std::printf("usage: %s [flags]\n%s", argv[0],
                 runner::flags_usage(table).c_str());
@@ -73,7 +41,49 @@ inline Args Args::parse(int argc, char** argv, const Args& defaults) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
-  return a;
+}
+
+/// What the FCT sweep front ends read: bench/suite, ablation_pifo,
+/// ablation_prob_tcn and ablation_tcn_threshold.
+struct Args {
+  /// Flows per run; 0 = each figure's own default (run_figures).
+  std::size_t flows = 0;
+  std::uint64_t seed = 1;
+  /// Collect per-run metrics and write the merged tcn-metrics-1 document
+  /// here; empty = observability off, "-" = stdout. Byte-identical for any
+  /// --jobs (merge is by job index).
+  std::string metrics_out;
+  /// The shared sweep flags (runner/flags.hpp); --jobs 0 = one worker per
+  /// hardware thread; empty --loads = each figure's own (run_figures).
+  runner::SweepFlags sweep;
+
+  /// The rows of those front ends, writing into `a`.
+  static runner::FlagTable flags(Args& a);
+};
+
+inline runner::FlagTable Args::flags(Args& a) {
+  runner::FlagTable table;
+  table.push_back({"--flows", "N",
+                   "flows per run (default " +
+                       (a.flows == 0 ? std::string("each figure's own")
+                                     : std::to_string(a.flows)) +
+                       ")",
+                   runner::number_setter(a.flows)});
+  table.push_back({"--seed", "S", "base RNG seed",
+                   runner::number_setter(a.seed)});
+  runner::add_sweep_flags(table, a.sweep);
+  // add_sweep_flags shows no default for an empty --loads.
+  if (a.sweep.loads.empty()) {
+    for (runner::Flag& row : table) {
+      if (row.name == "--loads") row.help += " (default each figure's own)";
+    }
+  }
+  table.push_back({"--metrics-out", "PATH",
+                   "collect per-run observability metrics and write\n"
+                   "the merged tcn-metrics-1 snapshot (\"-\" = stdout)",
+                   runner::path_setter(a.metrics_out)});
+  runner::add_grid_flags(table, a.sweep);
+  return table;
 }
 
 struct SchemeRun {
@@ -118,13 +128,13 @@ inline runner::SweepResult run_jobs(std::vector<runner::Job> jobs,
 /// with a single seed and flow count). `first` is the index of the slice's
 /// first record inside `runs` (nonzero when several figures share one
 /// suite-wide sweep).
-inline void print_fct_tables(const char* title,
+inline void print_fct_tables(const std::string& title,
                              const std::vector<SchemeRun>& schemes,
                              const std::vector<double>& loads,
                              const std::vector<runner::RunRecord>& runs,
                              std::size_t first, std::size_t flows,
                              std::uint64_t seed) {
-  std::printf("=== %s ===\n", title);
+  std::printf("=== %s ===\n", title.c_str());
   std::printf("flows/run=%zu seed=%llu\n\n", flows,
               static_cast<unsigned long long>(seed));
 
@@ -184,54 +194,44 @@ inline void print_fct_tables(const char* title,
   std::printf("\n");
 }
 
-/// Build the scheme x load SweepSpec a figure bench runs.
-inline runner::SweepSpec fct_sweep_spec(const char* name,
-                                        core::FctExperiment base,
-                                        const std::vector<SchemeRun>& schemes,
-                                        const Args& args) {
-  base.num_flows = args.flows;
-  base.seed = args.seed;
-  base.collect_metrics = !args.metrics_out.empty();
-  runner::SweepSpec spec;
-  spec.name = name;
-  spec.base = std::move(base);
-  spec.loads = args.sweep.loads;
-  spec.faults = args.sweep.fault_grid;
-  spec.traffics = args.sweep.traffic_grid;
-  for (const auto& s : schemes) spec.schemes.emplace_back(s.name, s.scheme);
-  return spec;
-}
-
-/// Runs `base` for every (scheme x load) across --jobs workers and prints
-/// the figure's panels; writes BENCH json when --json was given. Returns an
-/// exit code (nonzero when any run failed).
-inline int run_fct_sweep(const char* name, const char* title,
-                         core::FctExperiment base,
-                         const std::vector<SchemeRun>& schemes,
-                         const Args& args) {
-  const auto res = run_jobs(
-      fct_sweep_spec(name, std::move(base), schemes, args).expand(), args,
-      name);
-  const std::string& json = args.sweep.json;
+/// Ends a sweep front end: lists the failed runs, writes --json (even for
+/// a failed sweep: its partial trajectory, with per-run error kinds, is
+/// evidence) and, when every run succeeded, --metrics-out. Returns the exit
+/// code: 0, or 1 when a run failed or a write failed; a failed write is
+/// printed as `<name>: <message naming the path>`.
+inline int finish_sweep(const runner::SweepResult& res, const std::string& name,
+                        const Args& args) {
   if (!res.ok()) {
-    std::fprintf(stderr, "%s: %zu run(s) failed, %zu skipped\n", name,
+    std::fprintf(stderr, "%s: %zu run(s) failed, %zu skipped\n", name.c_str(),
                  res.failed, res.skipped);
-    // Still write the JSON: a failed sweep's partial trajectory (with its
-    // per-run error kinds) is evidence.
-    if (!json.empty()) runner::write_json_file(res, name, json);
+    for (const auto& r : res.runs) {
+      if (!r.ok && !r.skipped) {
+        std::fprintf(stderr, "  %s/%s load=%.0f%%: %s [%.*s]\n",
+                     r.job.group.c_str(), r.job.label.c_str(),
+                     r.job.cfg.load * 100, r.error.c_str(),
+                     static_cast<int>(
+                         runner::error_kind_name(r.error_kind).size()),
+                     runner::error_kind_name(r.error_kind).data());
+      }
+    }
+  } else {
+    std::fprintf(stderr, "%s: %zu runs ok in %.1f s (%zu workers)%s%s\n",
+                 name.c_str(), res.runs.size(), res.wall_ms / 1000.0,
+                 res.jobs_used, args.sweep.json.empty() ? "" : ", json -> ",
+                 args.sweep.json.c_str());
+  }
+  try {
+    if (!args.sweep.json.empty()) {
+      runner::write_json_file(res, name, args.sweep.json);
+    }
+    if (res.ok() && !args.metrics_out.empty()) {
+      runner::write_metrics_file(res, name, args.metrics_out);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
     return 1;
   }
-  // A fault or traffic axis changes the grid layout the table printers
-  // assume (load-major then scheme); print tables only for the plain shape.
-  if (args.sweep.fault_grid.empty() && args.sweep.traffic_grid.empty()) {
-    print_fct_tables(title, schemes, args.sweep.loads, res.runs, 0,
-                     args.flows, args.seed);
-  }
-  if (!json.empty()) runner::write_json_file(res, name, json);
-  if (!args.metrics_out.empty()) {
-    runner::write_metrics_file(res, name, args.metrics_out);
-  }
-  return 0;
+  return res.ok() ? 0 : 1;
 }
 
 /// Common testbed configuration (Sec. 6.1): 9 servers, 1GbE, base RTT 250us,

@@ -24,12 +24,11 @@ struct Result {
   double s2_mbps;
 };
 
-Result run(core::Scheme scheme, int s2_flows, std::uint64_t seed) {
+Result run(core::Scheme scheme, int s2_flows) {
   sim::Simulator simulator;
   core::SchemeParams params;
   params.rtt_lambda = 250 * sim::kMicrosecond;
   params.red_threshold_bytes = 30'000;  // DCTCP-paper recommendation
-  params.seed = seed;
   core::SchedConfig sched;
   sched.kind = core::SchedKind::kDwrr;
   sched.num_queues = 2;
@@ -76,15 +75,15 @@ Result run(core::Scheme scheme, int s2_flows, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf("=== Fig. 1: per-port RED violates DWRR (1G, 2 queues, "
               "K=30KB, DCTCP) ===\n\n");
   std::printf("%9s | %21s | %21s\n", "", "per-port RED (paper)", "TCN (contrast)");
   std::printf("%9s | %10s %10s | %10s %10s\n", "s2 flows", "s1 Mbps",
               "s2 Mbps", "s1 Mbps", "s2 Mbps");
   for (const int n : {1, 2, 4, 8, 16}) {
-    const auto red = run(core::Scheme::kRedPerPort, n, args.seed);
-    const auto tcn = run(core::Scheme::kTcn, n, args.seed);
+    const auto red = run(core::Scheme::kRedPerPort, n);
+    const auto tcn = run(core::Scheme::kTcn, n);
     std::printf("%9d | %10.0f %10.0f | %10.0f %10.0f\n", n, red.s1_mbps,
                 red.s2_mbps, tcn.s1_mbps, tcn.s2_mbps);
   }

@@ -33,7 +33,7 @@ void summarize(const char* name, const bench::RateTrace& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf(
       "=== Fig. 2: estimating queue 0's capacity after its true share drops "
       "to 5Gbps at t=10ms ===\n(10G, DWRR 2x18KB quanta, ECN*, 8 flows then "
@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %11s | %9s | %12s | %18s | %10s\n", "estimator",
               "samples/2ms", "total", "convergence", "sample range Gbps",
               "final Gbps");
-  summarize("Alg.1 dq_thresh=40KB", bench::run_rate_trace(40'000, args.seed));
-  summarize("Alg.1 dq_thresh=10KB", bench::run_rate_trace(10'000, args.seed));
-  summarize("MQ-ECN round time", bench::run_rate_trace(0, args.seed));
+  summarize("Alg.1 dq_thresh=40KB", bench::run_rate_trace(40'000));
+  summarize("Alg.1 dq_thresh=10KB", bench::run_rate_trace(10'000));
+  summarize("MQ-ECN round time", bench::run_rate_trace(0));
   std::printf(
       "\nExpected shape: 40KB -> few samples, slow (multi-ms) convergence; "
       "10KB -> oscillating samples\n(dq_thresh < 18KB quantum) whose smoothed "

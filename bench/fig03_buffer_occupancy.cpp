@@ -25,7 +25,7 @@ struct Result {
   double steady_max_kb;
 };
 
-Result run(core::Scheme scheme, std::uint64_t seed) {
+Result run(core::Scheme scheme) {
   // The figure's occupancy series flows through the observability layer: a
   // periodic sampler publishes into a gauge (whole-run peak via max
   // tracking) and, once past slow start, a log histogram (steady-state
@@ -37,7 +37,6 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
   core::SchemeParams params;
   params.rtt_lambda = 100 * sim::kMicrosecond;
   params.red_threshold_bytes = 125'000;
-  params.seed = seed;
   core::SchedConfig sched;
   sched.kind = core::SchedKind::kFifo;
   sched.num_queues = 1;
@@ -86,7 +85,7 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf(
       "=== Fig. 3: buffer occupancy, 10G, 1 queue, ECN*, 8 long flows "
       "(BDP = 125KB) ===\n\n");
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
        {Row{"RED-enqueue", core::Scheme::kRedPerQueue},
         Row{"RED-dequeue", core::Scheme::kRedDequeue},
         Row{"TCN", core::Scheme::kTcn}}) {
-    const auto r = run(row.scheme, args.seed);
+    const auto r = run(row.scheme);
     std::printf("%-14s | %10.0f | %12.0f | %12.0f | %12.0f\n", row.name,
                 r.peak_kb, r.steady_p50_kb, r.steady_p95_kb, r.steady_max_kb);
   }

@@ -3,12 +3,14 @@
 // small flows, byte share of sub-10MB flows).
 #include <cstdio>
 
+#include "bench_util.hpp"
 #include "sim/random.hpp"
 #include "workload/distributions.hpp"
 
 using namespace tcn;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_or_exit(argc, argv, {});
   std::printf("=== Fig. 4: traffic distributions for evaluation ===\n\n");
   for (const auto kind : workload::all_kinds()) {
     const auto& d = workload::distribution(kind);

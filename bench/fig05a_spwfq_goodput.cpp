@@ -17,8 +17,7 @@
 using namespace tcn;
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
-  (void)args;
+  bench::parse_or_exit(argc, argv, {});
   sim::Simulator simulator;
   core::SchemeParams params;
   params.rtt_lambda = 256 * sim::kMicrosecond;

@@ -26,7 +26,7 @@ struct Result {
   std::size_t samples;
 };
 
-Result run(core::Scheme scheme, std::uint64_t seed) {
+Result run(core::Scheme scheme) {
   // The figure's series comes from the observability layer: PingApp
   // publishes every RTT into the "ping.rtt_ns" log histogram of the run's
   // registry (installed before anything is built so handles resolve).
@@ -42,7 +42,6 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
   params.oracle_thresholds = {16'000, 8'000, 8'000};
   params.codel_target = static_cast<sim::Time>(51.2 * sim::kMicrosecond);
   params.codel_interval = 1024 * sim::kMicrosecond;
-  params.seed = seed;
 
   core::SchedConfig sched;
   sched.kind = core::SchedKind::kSpWfq;
@@ -93,7 +92,7 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv, {});
+  bench::parse_or_exit(argc, argv, {});
   std::printf("=== Fig. 5b: RTT of queue-2 traffic, SP/WFQ static scenario "
               "(base RTT ~250us) ===\n\n");
   std::printf("%-14s | %10s | %10s | %8s\n", "scheme", "avg (us)", "p99 (us)",
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
                           Row{"Ideal-oracle", core::Scheme::kIdealOracle},
                           Row{"CoDel", core::Scheme::kCodel},
                           Row{"RED-queue", core::Scheme::kRedPerQueue}}) {
-    const auto r = run(row.scheme, args.seed);
+    const auto r = run(row.scheme);
     std::printf("%-14s | %10.0f | %10.0f | %8zu\n", row.name, r.avg_us,
                 r.p99_us, r.samples);
   }

@@ -73,7 +73,7 @@ struct RateTrace {
   }
 };
 
-inline RateTrace run_rate_trace(std::uint64_t dq_thresh, std::uint64_t seed) {
+inline RateTrace run_rate_trace(std::uint64_t dq_thresh) {
   // Registry installed before the topology so the IdealRedMarker resolves
   // its "aqm.ideal-red.sample_bps" histogram; the trace re-reads the
   // estimator's sampling activity from it after the run.
@@ -171,7 +171,6 @@ inline RateTrace run_rate_trace(std::uint64_t dq_thresh, std::uint64_t seed) {
   if (dq_thresh > 0) {
     trace.total_samples = registry.histogram("aqm.ideal-red.sample_bps").count();
   }
-  (void)seed;
   return trace;
 }
 

@@ -86,8 +86,7 @@ topo::SchedulerFactory make_scheduler_factory(const SchedConfig& cfg) {
     case SchedKind::kPifoStfq:
       return [cfg] {
         return std::make_unique<sched::PifoScheduler>(
-            sched::PifoScheduler::stfq_program(
-                std::vector<double>(cfg.num_queues, 1.0)));
+            sched::stfq_rank_program(std::vector<double>(cfg.num_queues, 1.0)));
       };
     case SchedKind::kSpPifo:
       if (cfg.sp_pifo_levels < 2) {

@@ -1,7 +1,7 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <functional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -133,16 +133,6 @@ std::vector<net::Port*> resolve_target(topo::Network& network,
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string token;
-  std::istringstream in(s);
-  while (std::getline(in, token, sep)) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
 /// A --faults time field in milliseconds.
 sim::Time ms_to_time(const std::string& what, const std::string& v) {
   const double ms = sim::parse_double("--faults " + what, v);
@@ -156,8 +146,12 @@ sim::Time ms_to_time(const std::string& what, const std::string& v) {
 
 FaultPlan parse_fault_specs(const std::string& spec) {
   FaultPlan plan;
-  for (const std::string& one : split(spec, ';')) {
-    const std::vector<std::string> f = split(one, ':');
+  for (const std::string& one : sim::split(spec, ';')) {
+    if (one.empty()) continue;  // tolerate "a;;b" and a trailing ';'
+    const std::vector<std::string> f = sim::split(one, ':');
+    if (std::find(f.begin(), f.end(), "") != f.end()) {
+      throw std::invalid_argument("--faults: empty field in '" + one + "'");
+    }
     if (f.size() < 2) {
       throw std::invalid_argument("--faults: '" + one +
                                   "' needs at least kind:target");
@@ -226,24 +220,16 @@ FaultPlan parse_fault_specs(const std::string& spec) {
 
 std::vector<std::pair<std::string, FaultPlan>> parse_fault_grid(
     const std::string& grid) {
+  if (grid.empty()) {
+    throw std::invalid_argument("--fault-grid: empty grid");
+  }
   std::vector<std::pair<std::string, FaultPlan>> cells;
-  // Hand-rolled split: unlike split(), empty cells are meaningful here
-  // (they alias "none"), so getline-with-skip would mislabel "a||b".
-  std::string cell;
-  for (std::size_t pos = 0; pos <= grid.size(); ++pos) {
-    if (pos < grid.size() && grid[pos] != '|') {
-      cell += grid[pos];
-      continue;
-    }
+  for (const std::string& cell : sim::split(grid, '|')) {
     if (cell.empty() || cell == "none") {
       cells.emplace_back("none", FaultPlan{});
     } else {
       cells.emplace_back(cell, parse_fault_specs(cell));
     }
-    cell.clear();
-  }
-  if (cells.empty()) {
-    throw std::invalid_argument("--fault-grid: empty grid");
   }
   return cells;
 }

@@ -105,7 +105,9 @@ using FaultPlan = std::vector<FaultSpec>;
 ///   loss:<target>:<p>[:<start_ms>:<duration_ms>]
 ///   geloss:<target>:<p>[:<burst_pkts>[:<start_ms>:<duration_ms>]]
 ///   squeeze:<target>:<bytes>:<start_ms>:<duration_ms>
-/// Throws std::invalid_argument with a helpful message on bad input.
+/// Empty clauses ("a;;b", a trailing ';') are skipped; an empty field
+/// ("linkdown:*::100:50") is an error. Throws std::invalid_argument with a
+/// helpful message on bad input.
 FaultPlan parse_fault_specs(const std::string& spec);
 
 /// Parse a '|'-separated --fault-grid string into labelled sweep-axis cells:

@@ -1,5 +1,5 @@
-// One flag table per front end: tcnsim (tools/tcnsim_args.hpp), the figure
-// benches and bench/suite (bench/bench_util.hpp), bench/atlas and
+// One flag table per front end: tcnsim (tools/tcnsim_args.hpp), bench/suite
+// and the other benches (bench/bench_util.hpp), bench/atlas and
 // bench/micro_core. A row is a flag's name, value placeholder, help text
 // and setter; parse_flags applies argv to the rows and flags_usage prints
 // them, so each flag is declared once for both. A row with an empty

@@ -1,8 +1,5 @@
 #include "runner/results.hpp"
 
-#include <cstdio>
-#include <stdexcept>
-
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 
@@ -153,20 +150,7 @@ std::string to_json(const SweepResult& res, const std::string& name,
 
 void write_json_file(const SweepResult& res, const std::string& name,
                      const std::string& path) {
-  const std::string doc = to_json(res, name);
-  if (path == "-") {
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    throw std::runtime_error("cannot open '" + path + "' for writing");
-  }
-  const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-  const int close_err = std::fclose(f);
-  if (n != doc.size() || close_err != 0) {
-    throw std::runtime_error("short write to '" + path + "'");
-  }
+  obs::write_text_file(path, to_json(res, name));
 }
 
 std::string metrics_to_json(const SweepResult& res, const std::string& name) {

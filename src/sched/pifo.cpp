@@ -45,12 +45,4 @@ void PifoScheduler::on_dequeue(std::size_t q, const net::Packet&, sim::Time) {
   ranks_[q].pop_front();
 }
 
-sched::RankProgram PifoScheduler::stfq_program(std::vector<double> weights) {
-  return stfq_rank_program(std::move(weights));
-}
-
-PifoScheduler::RankFn PifoScheduler::priority_program() {
-  return priority_rank_program();
-}
-
 }  // namespace tcn::sched

@@ -23,9 +23,8 @@ namespace tcn::sched {
 
 class PifoScheduler final : public net::Scheduler {
  public:
-  /// Computes the rank of a packet at enqueue time (see sched/rank.hpp).
-  using RankFn = sched::RankFn;
-
+  /// `rank` computes each packet's rank at enqueue time; sched/rank.hpp
+  /// has the STFQ and strict-priority programs.
   explicit PifoScheduler(sched::RankProgram rank);
 
   void bind(const std::vector<net::PacketQueue>* queues,
@@ -36,13 +35,6 @@ class PifoScheduler final : public net::Scheduler {
   void on_dequeue(std::size_t q, const net::Packet& p, sim::Time now) override;
 
   [[nodiscard]] std::string_view name() const override { return "pifo"; }
-
-  /// An STFQ (start-time fair queueing) rank program over per-queue weights:
-  /// rank = virtual start time; approximates WFQ through a PIFO.
-  static sched::RankProgram stfq_program(std::vector<double> weights);
-
-  /// Strict-priority rank program: rank = queue index.
-  static RankFn priority_program();
 
  private:
   sched::RankProgram rank_;

@@ -45,20 +45,25 @@ Time to_time(std::string_view what, double amount, Time unit) {
   return static_cast<Time>(ns);
 }
 
+std::vector<std::string> split(std::string_view value, char sep) {
+  std::vector<std::string> out;
+  for (std::size_t begin = 0; begin <= value.size();) {
+    const std::size_t end = std::min(value.find(sep, begin), value.size());
+    out.emplace_back(value.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return out;
+}
+
 std::vector<std::string> list_elements(std::string_view what,
                                        std::string_view value) {
   if (value.empty()) {
     throw std::invalid_argument(std::string(what) + ": empty list");
   }
-  std::vector<std::string> out;
-  for (std::size_t begin = 0; begin <= value.size();) {
-    const std::size_t end = std::min(value.find(',', begin), value.size());
-    if (end == begin) {
-      throw std::invalid_argument(std::string(what) + ": empty element in '" +
-                                  std::string(value) + "'");
-    }
-    out.emplace_back(value.substr(begin, end - begin));
-    begin = end + 1;
+  std::vector<std::string> out = split(value, ',');
+  if (std::find(out.begin(), out.end(), "") != out.end()) {
+    throw std::invalid_argument(std::string(what) + ": empty element in '" +
+                                std::string(value) + "'");
   }
   return out;
 }

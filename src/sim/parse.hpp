@@ -23,6 +23,11 @@ double parse_double(std::string_view what, std::string_view value);
 /// conversion cannot represent is an error, not undefined behaviour.
 Time to_time(std::string_view what, double amount, Time unit);
 
+/// `value` cut at every `sep`, keeping empty fields: "a::b" gives
+/// {"a", "", "b"} and "" gives {""}. Each grammar decides what an empty
+/// field means.
+std::vector<std::string> split(std::string_view value, char sep);
+
 /// The elements of a comma-separated list; an empty list or an empty
 /// element ("0.5,,0.7") is an error.
 std::vector<std::string> list_elements(std::string_view what,

@@ -8,18 +8,6 @@
 namespace tcn::traffic {
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(begin, i - begin));
-      begin = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string where(const std::string& clause) {
   return "--traffic clause '" + clause + "'";
 }
@@ -101,9 +89,9 @@ TrafficSpec parse_traffic_spec(const std::string& spec) {
                                 "cell 'none' for the closed-loop baseline)");
   }
   TrafficSpec out;
-  for (const std::string& clause : split(spec, ';')) {
+  for (const std::string& clause : sim::split(spec, ';')) {
     if (clause.empty()) continue;  // tolerate trailing ';'
-    const auto f = split(clause, ':');
+    const auto f = sim::split(clause, ':');
     const std::string& kind = f[0];
     if (kind == "poisson" || kind == "mmpp") {
       out.tenants.push_back(parse_tenant(clause, f, kind == "mmpp"));
@@ -135,7 +123,7 @@ std::vector<std::pair<std::string, TrafficSpec>> parse_traffic_grid(
     throw std::invalid_argument("--traffic-grid: empty grid");
   }
   std::vector<std::pair<std::string, TrafficSpec>> cells;
-  for (const std::string& cell : split(grid, '|')) {
+  for (const std::string& cell : sim::split(grid, '|')) {
     if (cell.empty() || cell == "none") {
       cells.emplace_back("none", TrafficSpec{});
     } else {

@@ -111,6 +111,20 @@ TEST(ParseFaults, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_specs("geloss:x:0.1:10:5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_specs("linkdown:x:-1:2"), std::invalid_argument);
   EXPECT_THROW(parse_fault_specs("squeeze:x:0:1:2"), std::invalid_argument);
+  // An empty field is an error naming its clause; each of these once ran
+  // as if the field were not there.
+  for (const char* spec : {"linkdown:*::100:50", "squeeze:*:1000::5:10",
+                           "geloss:*:0.01::"}) {
+    try {
+      parse_fault_specs(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // Empty clauses stay tolerated.
+  EXPECT_EQ(parse_fault_specs("loss:x:0.1;;loss:y:0.2;").size(), 2u);
 }
 
 // Numbers are checked (sim::parse_double / parse_u64 / to_time): NaN loss

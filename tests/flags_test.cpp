@@ -1,15 +1,18 @@
 // The flag table (runner/flags.hpp) and the front ends built on it: tcnsim
-// (tools/tcnsim_args.hpp), the figure benches and bench/suite
+// (tools/tcnsim_args.hpp), bench/suite and the other benches
 // (bench/bench_util.hpp), bench/atlas (bench/atlas.hpp) and
 // bench/micro_core. Covers the shared reject rules, the SweepOptions
 // mapping, each front end's flag set and defaults, and -- by running the
 // built binaries -- that every malformed command exits 2 at once with a
-// message naming the flag.
+// message naming the flag, and that a failed result write exits 1.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "atlas.hpp"
 #include "bench_util.hpp"
+#include "figures.hpp"
 #include "runner/flags.hpp"
 #include "runner/journal.hpp"
 #include "tcnsim_args.hpp"
@@ -70,6 +74,8 @@ TEST(SweepFlags, EveryRejectNamesTheFlag) {
       {"bench", {"--on-failure", "sometimes"}, "--on-failure"},
       {"bench", {"--retries", "0"}, "--retries: must be >= 1"},
       {"bench", {"--fault-grid", "loss:x:nan"}, "--fault-grid"},
+      {"bench", {"--fault-grid", ""}, "--fault-grid: empty grid"},
+      {"bench", {"--fault-grid", "none|loss:x::"}, "empty field"},
       {"bench", {"--traffic-grid", "poisson:w:cache:inf"}, "--traffic-grid"},
       // --retries N needs the retry policy, whichever flag comes first.
       {"bench",
@@ -323,16 +329,33 @@ TEST(FrontEnds, AcceptTheSameFlagsAndDefaults) {
   EXPECT_NE(tcnsim_help.find("sp-pifo[:levels]"), std::string::npos);
   EXPECT_NE(tcnsim_help.find("aifo[:window,k]"), std::string::npos);
 
+  // The FCT sweep benches: flows 0 and no loads keep each figure's own
+  // grid (bench/figures.hpp).
   bench::Args bench_args;
   const auto bench_table = bench::Args::flags(bench_args);
   EXPECT_EQ(row_names(bench_table),
             with({"--flows", "--seed", "--metrics-out", "--fault-grid",
                   "--traffic-grid"}));
   EXPECT_EQ(bench_args.sweep.jobs, 0u);
-  EXPECT_EQ(bench_args.flows, 2000u);
+  EXPECT_EQ(bench_args.flows, 0u);
   EXPECT_EQ(bench_args.seed, 1u);
-  EXPECT_EQ(bench_args.sweep.loads,
-            (std::vector<double>{0.3, 0.5, 0.7, 0.9}));
+  EXPECT_TRUE(bench_args.sweep.loads.empty());
+  // Each figure's own grid is the default its deleted figNN binary had; a
+  // rank variant (figNN-sp-pifo, figNN-aifo) keeps its base figure's grid.
+  const std::vector<double> testbed = {0.3, 0.5, 0.7, 0.9};
+  const std::vector<double> leafspine = {0.6, 0.9};
+  const std::map<std::string, std::vector<double>> grids = {
+      {"fig06", testbed},   {"fig07", testbed},   {"fig08", testbed},
+      {"fig09", testbed},   {"fig10", leafspine}, {"fig11", leafspine},
+      {"fig12", leafspine}, {"fig13", leafspine}};
+  const auto figures = bench::figure_suite();
+  EXPECT_EQ(figures.size(), 16u);
+  for (const auto& def : figures) {
+    const auto grid = grids.find(def.name.substr(0, 5));
+    ASSERT_NE(grid, grids.end()) << def.name;
+    EXPECT_EQ(def.flows, 2000u) << def.name;
+    EXPECT_EQ(def.loads, grid->second) << def.name;
+  }
 
   bench::AtlasArgs atlas;
   const auto atlas_table = bench::atlas_flags(atlas);
@@ -363,9 +386,11 @@ struct Exit {
 };
 
 /// Runs `binary args...` under `timeout 10` through the shell, keeping
-/// stdout (`keep_stdout`) or stderr.
-Exit run(const std::string& binary, const Argv& args, bool keep_stdout) {
-  std::string cmd = "timeout 10 " + binary;
+/// stdout (`keep_stdout`) or stderr; in directory `dir` when one is given.
+Exit run(const std::string& binary, const Argv& args, bool keep_stdout,
+         const std::string& dir = "") {
+  std::string cmd = dir.empty() ? "" : "cd '" + dir + "' && ";
+  cmd += "timeout 10 " + binary;
   for (const auto& a : args) cmd += " '" + a + "'";
   cmd += keep_stdout ? " 2>/dev/null" : " 2>&1 >/dev/null";
   const auto t0 = std::chrono::steady_clock::now();
@@ -386,18 +411,24 @@ Exit run(const std::string& binary, const Argv& args, bool keep_stdout) {
 }
 
 // Each of these was accepted, hung or aborted before the flag table: the
-// fig06 ones ran a full sweep, hung (--flows -5) or aborted on an uncaught
+// figure ones ran a full sweep, hung (--flows -5) or aborted on an uncaught
 // SweepSpec error (--loads ""); the atlas ones printed a cell; the tcnsim
-// faults cast NaN/inf into sim::Time or uint64_t, and --services cast
-// 4294967297 to one service.
+// faults cast NaN/inf into sim::Time or uint64_t, dropped an empty field
+// ("linkdown:*::100:50" ran as linkdown:*:100:50), and --services cast
+// 4294967297 to one service. fig03 and fig05a accepted every sweep flag
+// and read none; fig03 read --seed but no output byte depended on it.
 TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
   const std::vector<std::pair<std::string, std::vector<Argv>>> cases = {
-      {FIG06_BIN,
+      {SUITE_BIN,
        {{"--flows", "-5"},
         {"--loads", ""},
         {"--loads", "0.5,abc"},
         {"--jobs", "-1"},
-        {"--retries", "2", "--on-failure", "record_and_continue"}}},
+        {"--retries", "2", "--on-failure", "record_and_continue"},
+        {"--figure", "fig99"},
+        {"--figure", "fig06,"}}},
+      {FIG03_BIN, {{"--json", "x.json"}, {"--seed", "1"}}},
+      {FIG05A_BIN, {{"--seed", "1"}}},
       {ATLAS_BIN,
        {{"--buffers", "-1"},
         {"--loads", "nan"},
@@ -408,6 +439,7 @@ TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
         {"--json", ""},
         {"--faults", "linkdown:sw0.p0:nan:20"},
         {"--faults", "squeeze:sw0.p0:inf:0:10"},
+        {"--faults", "linkdown:*::100:50"},
         {"--traffic", "poisson:web:websearch:nan"},
         {"--services", "4294967297"},
         {"--services", "0"}}},
@@ -444,6 +476,85 @@ TEST(Binaries, MicroCoreFailsWhenTheJsonWriteFails) {
       << e.output;
 }
 
+// The sweep benches ran the whole sweep, then died on the uncaught write
+// error (std::terminate, exit 134).
+TEST(Binaries, SweepBenchesFailWhenAResultWriteFails) {
+  struct Case {
+    std::string binary;
+    Argv args;
+    const char* names;  // `<name>: <message naming the path>`
+  };
+  const Argv tiny = {"--flows", "5", "--loads", "0.5"};
+  const auto with = [&](Argv extra) {
+    extra.insert(extra.begin(), tiny.begin(), tiny.end());
+    return extra;
+  };
+  const std::vector<Case> cases = {
+      {SUITE_BIN, with({"--json", "/dev/full"}),
+       "suite: write failed for '/dev/full'"},
+      {SUITE_BIN, with({"--figure", "fig06", "--json", "/dev/full"}),
+       "suite: write failed for '/dev/full'"},
+      {SUITE_BIN,
+       with({"--figure", "fig06", "--json", "-", "--metrics-out",
+             "/nonexistent/m.json"}),
+       "suite: cannot open '/nonexistent/m.json'"},
+      {TCN_THRESHOLD_BIN, with({"--json", "/dev/full"}),
+       "ablation_tcn_threshold: write failed for '/dev/full'"},
+  };
+  for (const Case& c : cases) {
+    const Exit e = run(c.binary, c.args, /*keep_stdout=*/false);
+    EXPECT_EQ(e.status, 1) << c.binary << ": " << e.output;
+    EXPECT_NE(e.output.find(c.names), std::string::npos)
+        << c.binary << ": " << e.output;
+  }
+}
+
+// A --figure run wrote BENCH_suite.json by default, so regenerating one
+// figure overwrote a full run's results; only a full run has the default.
+TEST(Binaries, SuiteWritesItsDefaultJsonOnlyForAFullRun) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("flags_test_suite_json_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const Argv tiny = {"--flows", "5", "--loads", "0.5", "--jobs", "2"};
+  Argv figure = tiny;
+  figure.insert(figure.end(), {"--figure", "fig06"});
+  const Exit one = run(SUITE_BIN, figure, /*keep_stdout=*/false, dir);
+  EXPECT_EQ(one.status, 0) << one.output;
+  EXPECT_FALSE(std::filesystem::exists(dir / "BENCH_suite.json"));
+  const Exit full = run(SUITE_BIN, tiny, /*keep_stdout=*/false, dir);
+  EXPECT_EQ(full.status, 0) << full.output;
+  EXPECT_TRUE(std::filesystem::exists(dir / "BENCH_suite.json"));
+  std::filesystem::remove_all(dir);
+}
+
+// --figure keeps the named figures in suite order, whatever order it
+// names them in, and runs nothing else.
+TEST(Binaries, SuiteRunsTheNamedFiguresInSuiteOrder) {
+  const Exit e = run(SUITE_BIN,
+                     {"--figure", "fig13,fig06", "--flows", "5", "--loads",
+                      "0.5", "--json", "-"},
+                     /*keep_stdout=*/true);
+  ASSERT_EQ(e.status, 0) << e.output;
+  const auto fig06 = e.output.find("=== Fig. 6:");
+  const auto fig13 = e.output.find("=== Fig. 13:");
+  ASSERT_NE(fig06, std::string::npos) << e.output;
+  ASSERT_NE(fig13, std::string::npos) << e.output;
+  EXPECT_LT(fig06, fig13);
+  std::size_t tables = 0;
+  for (auto at = e.output.find("=== "); at != std::string::npos;
+       at = e.output.find("=== ", at + 1)) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, 2u) << e.output;
+  // The document's records carry each figure's own group, in that order.
+  const auto group06 = e.output.find("\"group\": \"fig06\"");
+  const auto group13 = e.output.find("\"group\": \"fig13\"");
+  ASSERT_NE(group06, std::string::npos) << e.output;
+  EXPECT_LT(group06, group13);
+}
+
 TEST(Binaries, HelpNamesEveryFlag) {
   const std::vector<std::string> sweep = {"--jobs",   "--json",
                                           "--loads",  "--on-failure",
@@ -452,10 +563,13 @@ TEST(Binaries, HelpNamesEveryFlag) {
   const std::vector<std::pair<std::string, std::vector<std::string>>> bins =
       {{TCNSIM_BIN, {"--seeds", "--fault-grid", "--traffic-grid", "--scheme",
                      "--faults", "--traffic", "--seed"}},
-       {FIG06_BIN, {"--flows", "--seed", "--metrics-out", "--fault-grid",
-                    "--traffic-grid"}},
-       {SUITE_BIN, {"--flows", "--seed", "--metrics-out", "--fault-grid",
-                    "--traffic-grid", "default BENCH_suite.json"}},
+       {SUITE_BIN, {"--figure", "--flows", "--seed", "--metrics-out",
+                    "--fault-grid", "--traffic-grid",
+                    "default BENCH_suite.json without --figure",
+                    "(default each figure's own)", "0.3,0.5,0.7,0.9",
+                    "0.6,0.9"}},
+       {TCN_THRESHOLD_BIN, {"--flows", "--seed", "--metrics-out",
+                            "--fault-grid", "--traffic-grid"}},
        {ATLAS_BIN, {"--schemes", "--scheds", "--thresholds-us", "--buffers",
                     "--sample-interval-us", "--flows", "--seed"}}};
   for (const auto& [binary, own] : bins) {
@@ -473,6 +587,12 @@ TEST(Binaries, HelpNamesEveryFlag) {
   for (const char* name : {"--json", "--min-time", "--gate"}) {
     EXPECT_NE(micro.output.find(name), std::string::npos)
         << "micro_core --help lacks " << name;
+  }
+  // The fixed-scenario benches read no flag, so they list none.
+  for (const char* binary : {FIG03_BIN, FIG05A_BIN}) {
+    const Exit e = run(binary, {"--help"}, /*keep_stdout=*/true);
+    EXPECT_EQ(e.status, 0) << binary;
+    EXPECT_EQ(e.output.find("--"), std::string::npos) << e.output;
   }
 }
 

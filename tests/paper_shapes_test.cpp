@@ -24,7 +24,7 @@ namespace {
 // ------------------------------------------------------------- Fig. 2 -----
 
 TEST(PaperShapes, Fig2_CoarseWindowConvergesSlowly) {
-  const auto t = bench::run_rate_trace(40'000, 1);
+  const auto t = bench::run_rate_trace(40'000);
   // Few samples (paper: 29 in 2ms) and convergence beyond 2ms.
   EXPECT_LT(t.samples_in_2ms, 40u);
   const auto conv = t.convergence();
@@ -32,7 +32,7 @@ TEST(PaperShapes, Fig2_CoarseWindowConvergesSlowly) {
 }
 
 TEST(PaperShapes, Fig2_FineWindowOscillatesAndOverestimates) {
-  const auto t = bench::run_rate_trace(10'000, 1);
+  const auto t = bench::run_rate_trace(10'000);
   // dq_thresh (10KB) below the 18KB quantum: samples swing between ~3.7G
   // and 10G, and the smoothed estimate sits well above the true 5Gbps.
   EXPECT_LT(t.sample_min(), 4.5e9);
@@ -41,7 +41,7 @@ TEST(PaperShapes, Fig2_FineWindowOscillatesAndOverestimates) {
 }
 
 TEST(PaperShapes, Fig2_MqEcnConvergesFast) {
-  const auto t = bench::run_rate_trace(0, 1);
+  const auto t = bench::run_rate_trace(0);
   const auto conv = t.convergence();
   ASSERT_GE(conv, 0);
   EXPECT_LT(conv, 1500 * sim::kMicrosecond);  // paper: within ~600us

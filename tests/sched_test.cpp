@@ -280,8 +280,7 @@ TEST(SpHybridScheduler, RejectsBadConfig) {
 }
 
 TEST(PifoScheduler, PriorityProgramActsAsStrictPriority) {
-  Rig rig(std::make_unique<PifoScheduler>(PifoScheduler::priority_program()),
-          2);
+  Rig rig(std::make_unique<PifoScheduler>(priority_rank_program()), 2);
   for (int i = 0; i < 5; ++i) rig.port->enqueue(make_test_packet(1500, 1, 1), 1);
   rig.port->enqueue(make_test_packet(1500, 0, 0), 0);
   rig.sim.run();
@@ -289,9 +288,7 @@ TEST(PifoScheduler, PriorityProgramActsAsStrictPriority) {
 }
 
 TEST(PifoScheduler, StfqProgramApproximatesFairness) {
-  Rig rig(std::make_unique<PifoScheduler>(
-              PifoScheduler::stfq_program({1.0, 1.0})),
-          2);
+  Rig rig(std::make_unique<PifoScheduler>(stfq_rank_program({1.0, 1.0})), 2);
   for (int i = 0; i < 40; ++i) {
     rig.port->enqueue(make_test_packet(1500, 0, 0), 0);
     rig.port->enqueue(make_test_packet(1500, 1, 1), 1);
@@ -710,8 +707,7 @@ INSTANTIATE_TEST_SUITE_P(
         SchedCase{"pifo_stfq",
                   [](std::size_t nq) {
                     return std::make_unique<PifoScheduler>(
-                        PifoScheduler::stfq_program(
-                            std::vector<double>(nq, 1.0)));
+                        stfq_rank_program(std::vector<double>(nq, 1.0)));
                   }},
         SchedCase{"sp_pifo_stfq",
                   [](std::size_t nq) {
