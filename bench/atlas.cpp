@@ -12,6 +12,7 @@
 // Journaling/resume work exactly as in the figure benches.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,11 @@ int main(int argc, char** argv) {
                                                 cli.seed, cli.interval_us));
     }
     return res.ok() ? 0 : 1;
-  } catch (const std::exception& e) {
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "atlas: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "atlas: %s\n", e.what());
+    return 1;
   }
 }

@@ -93,8 +93,10 @@ struct SchemeRun {
 
 /// runner::run_jobs with the options `args` ask for and a progress printer
 /// (stderr, completion order -- progress lines are the one output allowed
-/// to vary with --jobs). Exits 2, naming `name`, when the sweep cannot
-/// start (an unreadable or mismatched --resume journal, say).
+/// to vary with --jobs). When the sweep throws it prints
+/// `<name>: <message>` and exits: 2 for a rejected input (an unreadable or
+/// mismatched --resume journal, say), 1 for any other failure (a journal
+/// that cannot be written).
 inline runner::SweepResult run_jobs(std::vector<runner::Job> jobs,
                                     const Args& args,
                                     const std::string& name) {
@@ -117,9 +119,12 @@ inline runner::SweepResult run_jobs(std::vector<runner::Job> jobs,
                    r.events_per_sec / 1e6);
     };
     return runner::run_jobs(std::move(jobs), opt);
-  } catch (const std::exception& e) {
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
     std::exit(2);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    std::exit(1);
   }
 }
 

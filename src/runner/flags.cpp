@@ -14,18 +14,6 @@ namespace {
 // Help text starts in this column.
 constexpr std::size_t kHelpColumn = 30;
 
-/// Rejects --retries N beside an explicit non-retry --on-failure (checked
-/// by both rows, so the order of the two flags does not matter).
-void check_retry_policy(const SweepFlags& f) {
-  if (f.retries > 0 && f.on_failure &&
-      *f.on_failure != FailurePolicy::kRetry) {
-    throw std::invalid_argument(
-        "--retries " + std::to_string(f.retries) +
-        " needs the retry policy, but --on-failure is " +
-        std::string(failure_policy_name(*f.on_failure)));
-  }
-}
-
 }  // namespace
 
 void parse_flags(const FlagTable& table,
@@ -119,20 +107,9 @@ void add_sweep_flags(FlagTable& table, SweepFlags& f) {
                    path_setter(f.json)});
   table.push_back({"--on-failure", "P",
                    "cancel_all (default: skip the rest after a\n"
-                   "failure) | record_and_continue | retry",
+                   "failure) | record_and_continue",
                    [&f](const std::string&, const std::string& value) {
                      f.on_failure = failure_policy_from_name(value);
-                     check_retry_policy(f);
-                   }});
-  table.push_back({"--retries", "N",
-                   "max attempts per job (implies --on-failure\n"
-                   "retry; exponential backoff between attempts)",
-                   [&f](const std::string& flag, const std::string& value) {
-                     f.retries = sim::parse_u64(flag, value);
-                     if (f.retries == 0) {
-                       throw std::invalid_argument(flag + ": must be >= 1");
-                     }
-                     check_retry_policy(f);
                    }});
   table.push_back({"--journal", "PATH",
                    "append a fsync'd tcn-journal-1 line per run",
@@ -163,9 +140,7 @@ SweepOptions sweep_options(const SweepFlags& f, const std::string& name,
                            JournalData& resume) {
   SweepOptions opt;
   opt.jobs = f.jobs;
-  opt.failure_policy = f.on_failure.value_or(
-      f.retries > 0 ? FailurePolicy::kRetry : FailurePolicy::kCancelAll);
-  if (f.retries > 0) opt.retry.max_attempts = f.retries;
+  opt.failure_policy = f.on_failure;
   opt.journal_name = name;
   // --resume with no --journal extends the same journal in place, so a
   // sweep can be killed and resumed any number of times.

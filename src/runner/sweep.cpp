@@ -1,8 +1,7 @@
 #include "runner/sweep.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -10,7 +9,6 @@
 #include <thread>
 
 #include "runner/journal.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace tcn::runner {
 namespace {
@@ -19,14 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-/// splitmix64 finalizer: a cheap, well-mixed hash for the retry jitter.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 ErrorKind classify(core::RunErrorKind kind) noexcept {
@@ -75,42 +65,16 @@ ErrorKind error_kind_from_name(std::string_view name) {
 }
 
 std::string_view failure_policy_name(FailurePolicy p) noexcept {
-  switch (p) {
-    case FailurePolicy::kCancelAll:
-      return "cancel_all";
-    case FailurePolicy::kRecordAndContinue:
-      return "record_and_continue";
-    case FailurePolicy::kRetry:
-      return "retry";
-  }
-  return "cancel_all";
+  return p == FailurePolicy::kRecordAndContinue ? "record_and_continue"
+                                                : "cancel_all";
 }
 
 FailurePolicy failure_policy_from_name(std::string_view name) {
   if (name == "cancel_all") return FailurePolicy::kCancelAll;
   if (name == "record_and_continue") return FailurePolicy::kRecordAndContinue;
-  if (name == "retry") return FailurePolicy::kRetry;
   throw std::invalid_argument(
       "unknown failure policy '" + std::string(name) +
-      "' (expected cancel_all, record_and_continue or retry)");
-}
-
-double retry_backoff_ms(const RetryPolicy& policy, std::size_t next_attempt,
-                        std::size_t index, std::uint64_t seed) {
-  if (next_attempt < 2) return 0.0;
-  double delay = policy.backoff_base_ms *
-                 std::pow(2.0, static_cast<double>(next_attempt - 2));
-  if (delay > policy.backoff_max_ms) delay = policy.backoff_max_ms;
-  if (policy.jitter <= 0.0) return delay;
-  // Deterministic jitter keyed on (job, attempt, seed): reproducible per
-  // run, decorrelated across jobs so a burst of failures does not retry in
-  // lockstep.
-  const std::uint64_t h =
-      mix64(seed ^ mix64(index + 1) ^ mix64(0x5bd1e995ULL * next_attempt));
-  const double unit =
-      static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0, 1)
-  const double factor = 1.0 - policy.jitter + 2.0 * policy.jitter * unit;
-  return delay * factor;
+      "' (expected cancel_all or record_and_continue)");
 }
 
 std::size_t effective_workers(std::size_t requested, std::size_t num_jobs) {
@@ -196,21 +160,21 @@ SweepResult run_jobs(std::vector<Job> jobs, const SweepOptions& opt) {
   if (opt.resume != nullptr) {
     if (opt.resume->spec_hash != digest ||
         opt.resume->total_jobs != jobs.size()) {
-      throw std::runtime_error(
+      throw std::invalid_argument(
           "resume journal '" + opt.resume->path +
           "' was written by a different sweep (spec hash or job count "
           "mismatch)");
     }
     for (const JournalEntry& e : opt.resume->entries) {
       if (e.index >= jobs.size()) {
-        throw std::runtime_error("resume journal '" + opt.resume->path +
-                                 "' references job " +
-                                 std::to_string(e.index) + " of " +
-                                 std::to_string(jobs.size()));
+        throw std::invalid_argument("resume journal '" + opt.resume->path +
+                                    "' references job " +
+                                    std::to_string(e.index) + " of " +
+                                    std::to_string(jobs.size()));
       }
       Job& job = jobs[e.index];
       if (e.record.job.group != job.group || e.record.job.label != job.label) {
-        throw std::runtime_error(
+        throw std::invalid_argument(
             "resume journal '" + opt.resume->path + "' job " +
             std::to_string(e.index) + " is labelled '" + e.record.job.group +
             "/" + e.record.job.label + "', expected '" + job.group + "/" +
@@ -242,94 +206,83 @@ SweepResult run_jobs(std::vector<Job> jobs, const SweepOptions& opt) {
     }
   }
 
-  CancelToken cancel;
-  std::mutex mu;  // guards counters, the journal and on_done serialization
-  const bool cancel_all = opt.failure_policy == FailurePolicy::kCancelAll;
-  const std::size_t max_attempts =
-      opt.failure_policy == FailurePolicy::kRetry
-          ? std::max<std::size_t>(std::size_t{1}, opt.retry.max_attempts)
-          : 1;
-
-  auto run_one = [&](Job& job) {
-    RunRecord rec;
-    const std::size_t slot = job.index;
-    rec.job = std::move(job);
-    if (cancel_all && cancel.cancelled()) {
-      rec.skipped = true;
-      rec.error = "cancelled";
-      rec.error_kind = ErrorKind::kCancelled;
-    } else {
-      const auto t0 = Clock::now();
-      for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        rec.ok = false;
-        rec.error.clear();
-        rec.error_kind = ErrorKind::kNone;
-        rec.postmortem.clear();
-        rec.report = core::FctReport{};
-        try {
-          rec.report = core::run_fct_experiment(rec.job.cfg);
-          rec.ok = true;
-        } catch (const core::ExperimentError& e) {
-          rec.error = e.what();
-          rec.error_kind = classify(e.kind());
-          rec.postmortem = e.postmortem();
-        } catch (const std::exception& e) {
-          rec.error = e.what();
-          rec.error_kind = ErrorKind::kException;
-        } catch (...) {
-          rec.error = "unknown exception";
-          rec.error_kind = ErrorKind::kException;
-        }
-        rec.attempts = attempt;
-        if (rec.ok || attempt == max_attempts) break;
-        if (opt.retry_sleep) {
-          const double delay = retry_backoff_ms(opt.retry, attempt + 1, slot,
-                                                rec.job.cfg.seed);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(delay));
-        }
-      }
-      rec.wall_ms = ms_since(t0);
-      if (rec.ok && rec.wall_ms > 0.0) {
-        rec.events_per_sec =
-            static_cast<double>(rec.report.events) / (rec.wall_ms / 1000.0);
-      }
-      if (!rec.ok && cancel_all) cancel.cancel();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      // Journal successful runs only: a failed or skipped job re-executes on
-      // resume, which the deterministic simulation resolves the same way an
-      // uninterrupted run would have.
-      if (journal && rec.ok) journal->append(rec);
-      if (opt.on_done) opt.on_done(rec);
-      // Slot assignment is race-free by construction (unique index per
-      // job); done under the lock anyway so on_done observes a consistent
-      // runs vector.
-      res.runs[slot] = std::move(rec);
-    }
-  };
-
   std::vector<Job*> pending;
   pending.reserve(jobs.size());
   for (auto& job : jobs) {
     if (!restored[job.index]) pending.push_back(&job);
   }
-
   res.jobs_used = effective_workers(
       opt.jobs, pending.empty() ? std::size_t{1} : pending.size());
-  std::uint64_t pool_faults = 0;
-  if (res.jobs_used <= 1) {
-    for (Job* job : pending) run_one(*job);
-  } else {
-    ThreadPool pool(res.jobs_used);
-    for (Job* job : pending) {
-      pool.submit([&run_one, job] { run_one(*job); });
+
+  const bool cancel_all = opt.failure_policy == FailurePolicy::kCancelAll;
+  std::atomic<std::size_t> next{0};    // the next pending job to hand out
+  std::atomic<bool> cancelled{false};  // a run failed under cancel_all
+  std::mutex mu;  // guards the journal, on_done, res.runs and `error`
+  std::exception_ptr error;  // the first exception a worker met
+
+  auto run_one = [&](Job& job) {
+    RunRecord rec;
+    rec.job = std::move(job);
+    if (cancel_all && cancelled) {
+      rec.skipped = true;
+      rec.error = "cancelled";
+      rec.error_kind = ErrorKind::kCancelled;
+      return rec;
     }
-    pool.wait_idle();
-    pool.shutdown();
-    pool_faults = pool.tasks_faulted();
+    const auto t0 = Clock::now();
+    try {
+      rec.report = core::run_fct_experiment(rec.job.cfg);
+      rec.ok = true;
+    } catch (const core::ExperimentError& e) {
+      rec.error = e.what();
+      rec.error_kind = classify(e.kind());
+      rec.postmortem = e.postmortem();
+    } catch (const std::exception& e) {
+      rec.error = e.what();
+      rec.error_kind = ErrorKind::kException;
+    } catch (...) {
+      rec.error = "unknown exception";
+      rec.error_kind = ErrorKind::kException;
+    }
+    rec.attempts = 1;
+    rec.wall_ms = ms_since(t0);
+    if (rec.ok && rec.wall_ms > 0.0) {
+      rec.events_per_sec =
+          static_cast<double>(rec.report.events) / (rec.wall_ms / 1000.0);
+    }
+    if (!rec.ok && cancel_all) cancelled = true;
+    return rec;
+  };
+
+  // Every worker, the calling thread included, runs this loop. A run's own
+  // failure is a record; an exception here (a journal append or on_done)
+  // ends the hand-out and is rethrown once every worker has joined.
+  auto work = [&] {
+    try {
+      for (std::size_t i = next++; i < pending.size(); i = next++) {
+        RunRecord rec = run_one(*pending[i]);
+        std::lock_guard<std::mutex> lock(mu);
+        if (error) return;
+        // Journal successful runs only: a failed or skipped job re-executes
+        // on resume, which the deterministic simulation resolves the same
+        // way an uninterrupted run would have.
+        if (journal && rec.ok) journal->append(rec);
+        if (opt.on_done) opt.on_done(rec);
+        res.runs[rec.job.index] = std::move(rec);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+      next = pending.size();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined when this scope ends
+    threads.reserve(res.jobs_used - 1);
+    for (std::size_t t = 1; t < res.jobs_used; ++t) threads.emplace_back(work);
+    work();
   }
+  if (error) std::rethrow_exception(error);
 
   // Roll the per-record outcomes up once, restored records included, so the
   // totals are identical whether a record was executed now or replayed from
@@ -357,9 +310,7 @@ SweepResult run_jobs(std::vector<Job> jobs, const SweepOptions& opt) {
       }
     }
     if (r.restored) ++res.restored;
-    if (r.attempts > 1) res.retries += r.attempts - 1;
   }
-  res.pool_exceptions = pool_faults;
 
   res.wall_ms = ms_since(sweep_start);
   return res;

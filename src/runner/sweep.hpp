@@ -1,7 +1,7 @@
 // Sweep orchestration: expand a scheme x load x seed x flows x faults x
 // traffic grid
-// into independent jobs, execute them on a fixed-size worker pool (each job
-// gets a fully isolated sim::Simulator/topology built inside
+// into independent jobs, execute them on `jobs` workers (each job gets a
+// fully isolated sim::Simulator/topology built inside
 // core::run_fct_experiment), and aggregate results **by job index**.
 //
 // Determinism contract: every job is self-contained (own simulator, own
@@ -12,17 +12,23 @@
 // the wall-clock measurements (RunRecord::wall_ms / events_per_sec), which
 // measure the host, not the simulation.
 //
+// One loop runs every sweep: the calling thread and `jobs - 1` more each
+// take the next job from a shared index, run it and record it under one
+// mutex. A journal append or on_done that throws stops the hand-out, and
+// run_jobs rethrows that exception once the workers have joined -- the same
+// way at any `jobs`.
+//
 // Crash resilience (the three legs, see DESIGN.md §12):
 //
 //  * Budgets -- per-job wall-clock / event / sim-time budgets configured on
 //    the FctExperiment turn a hung or runaway simulation into a recorded
 //    `timeout` RunRecord instead of a stuck worker.
-//  * Failure policy -- cancel_all (first failure skips the rest),
-//    record_and_continue (every cell runs regardless), or retry
-//    (re-execute failed jobs with exponential backoff and deterministic
-//    jitter). Failures carry an error taxonomy (timeout /
-//    invariant-violation / oom-guard / exception) and, when a flight
-//    recorder was attached, a postmortem dump.
+//  * Failure policy -- cancel_all (first failure skips the rest) or
+//    record_and_continue (every cell runs regardless). Failures carry an
+//    error taxonomy (timeout / invariant-violation / oom-guard /
+//    exception) and, when a flight recorder was attached, a postmortem
+//    dump. A run's outcome is a function of its config, so a failed run is
+//    not retried.
 //  * Journaled resume -- SweepOptions::journal_out appends every terminal
 //    RunRecord to a tcn-journal-1 JSONL file (fsync'd, torn-tail
 //    tolerant); SweepOptions::resume restores those records and re-runs
@@ -83,7 +89,7 @@ struct RunRecord {
   bool skipped = false;  ///< cancelled before it started
   std::string error;     ///< what() of the failure, or "cancelled"
   ErrorKind error_kind = ErrorKind::kNone;
-  /// Times the job was executed (1 = no retries, 0 = never ran).
+  /// 1 when the job ran, 0 when it was skipped (never ran).
   std::uint64_t attempts = 0;
   /// Flight-recorder tail captured at failure (empty when none attached).
   std::string postmortem;
@@ -96,48 +102,23 @@ struct RunRecord {
   double events_per_sec = 0.0;
 };
 
-/// What run_jobs does once a job has failed terminally (after retries,
-/// when those are enabled).
+/// What run_jobs does once a job has failed.
 enum class FailurePolicy : std::uint8_t {
-  /// First failure flips the shared CancelToken; jobs that have not
-  /// started yet are recorded as skipped (a 2000-run sweep does not grind
-  /// on after its configuration is proven broken).
+  /// First failure stops the sweep; jobs that have not started yet are
+  /// recorded as skipped (a 2000-run sweep does not grind on after its
+  /// configuration is proven broken).
   kCancelAll,
   /// Record the failure and keep going; the sweep reports every cell.
   kRecordAndContinue,
-  /// Re-run failed jobs up to RetryPolicy::max_attempts with exponential
-  /// backoff, then record and continue.
-  kRetry,
 };
 
 [[nodiscard]] std::string_view failure_policy_name(FailurePolicy p) noexcept;
 [[nodiscard]] FailurePolicy failure_policy_from_name(std::string_view name);
 
-struct RetryPolicy {
-  std::size_t max_attempts = 3;   ///< total executions, including the first
-  double backoff_base_ms = 100.0; ///< delay before attempt 2
-  double backoff_max_ms = 5000.0; ///< exponential growth cap
-  /// Jitter fraction: the delay is scaled by a factor drawn
-  /// deterministically from [1-jitter, 1+jitter) keyed on (job index,
-  /// attempt, seed) -- decorrelated across jobs yet reproducible.
-  double jitter = 0.5;
-};
-
-/// Backoff delay before attempt `next_attempt` (>= 2) of job `index` with
-/// seed `seed`. Pure function of its arguments (exposed for tests).
-[[nodiscard]] double retry_backoff_ms(const RetryPolicy& policy,
-                                      std::size_t next_attempt,
-                                      std::size_t index, std::uint64_t seed);
-
 struct SweepOptions {
   /// Worker threads; 0 means one per hardware thread.
   std::size_t jobs = 1;
   FailurePolicy failure_policy = FailurePolicy::kCancelAll;
-  /// Used when failure_policy == kRetry.
-  RetryPolicy retry;
-  /// Suppress the real backoff sleep (tests; the recorded attempt count and
-  /// results are identical either way).
-  bool retry_sleep = true;
   /// Append every terminal RunRecord to this tcn-journal-1 file (fsync'd
   /// per record); empty = no journal. When resuming into the same path the
   /// file is truncated to its valid prefix and extended in place.
@@ -150,7 +131,8 @@ struct SweepOptions {
   const JournalData* resume = nullptr;
   /// Progress callback, invoked as each job finishes (completion order, not
   /// index order; not invoked for restored records). Calls are serialized
-  /// by the runner.
+  /// by the runner. An exception it throws stops the sweep and propagates
+  /// out of run_jobs.
   std::function<void(const RunRecord&)> on_done;
 };
 
@@ -161,15 +143,11 @@ struct SweepResult {
   std::size_t skipped = 0;
   // Crash-resilience rollups (deterministic; serialized in "totals").
   std::size_t restored = 0;          ///< satisfied from the resume journal
-  std::size_t retries = 0;           ///< executions beyond each first attempt
   std::size_t failed_timeout = 0;    ///< ErrorKind::kTimeout
   std::size_t failed_invariant = 0;  ///< ErrorKind::kInvariant
   std::size_t failed_oom_guard = 0;  ///< ErrorKind::kOomGuard
   std::size_t failed_exception = 0;  ///< ErrorKind::kException
-  /// Exceptions that escaped the job wrapper into the thread pool -- always
-  /// 0 unless the harness itself is buggy (debug builds abort instead).
-  std::uint64_t pool_exceptions = 0;
-  std::size_t jobs_used = 1;  ///< worker threads actually spawned
+  std::size_t jobs_used = 1;  ///< workers used, the calling thread included
   double wall_ms = 0.0;       ///< whole-sweep wall clock
 
   [[nodiscard]] bool ok() const noexcept {
@@ -179,8 +157,9 @@ struct SweepResult {
 
 /// Execute `jobs` (reindexed 0..n-1 in the given order) and collect results
 /// deterministically. The per-job simulation is single-threaded; parallelism
-/// is across jobs only. Throws std::runtime_error when opt.resume does not
-/// match the job list or opt.journal_out cannot be written.
+/// is across jobs only. Throws std::invalid_argument when opt.resume does
+/// not match the job list, std::runtime_error when opt.journal_out cannot
+/// be written, and whatever opt.on_done throws.
 SweepResult run_jobs(std::vector<Job> jobs, const SweepOptions& opt = {});
 
 /// A declarative grid. Expansion order is loads-major, then schemes, then

@@ -8,9 +8,6 @@
 // costs: callables are stored in 64 bytes of inline storage, period. A
 // callable that does not fit is a compile error (the static_assert below),
 // not a silent heap fallback, so the hot path provably never allocates.
-// Oversized or intentionally heap-backed callables -- test harnesses, the
-// sweep runner's job closures with fat contexts -- go through boxed(),
-// which is the one sanctioned type-erased escape hatch.
 //
 // Moving an InlineCallback move-constructs the stored callable into the new
 // slot via a per-type vtable (memcpy for trivially copyable captures), so
@@ -19,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -49,8 +45,7 @@ class InlineCallback {
                   "InlineCallback requires a void() callable");
     static_assert(sizeof(Fd) <= kInlineBytes,
                   "capture exceeds the 64B inline-callback budget -- shrink "
-                  "the capture or use sim::boxed() (heap fallback, off the "
-                  "hot path)");
+                  "the capture");
     static_assert(alignof(Fd) <= kInlineAlign,
                   "capture is over-aligned for inline-callback storage");
     static_assert(std::is_nothrow_move_constructible_v<Fd>,
@@ -94,7 +89,7 @@ class InlineCallback {
     using Fd = std::decay_t<F>;
     static_assert(sizeof(Fd) <= kInlineBytes,
                   "capture exceeds the 64B inline-callback budget -- shrink "
-                  "the capture or use sim::boxed()");
+                  "the capture");
     static_assert(alignof(Fd) <= kInlineAlign,
                   "capture is over-aligned for inline-callback storage");
     static_assert(std::is_nothrow_move_constructible_v<Fd>,
@@ -147,16 +142,5 @@ class InlineCallback {
   alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
   const VTable* vt_ = nullptr;
 };
-
-/// Type-erased heap fallback for callables that exceed the inline budget:
-/// the callable lives in a unique_ptr and only the 8-byte handle is stored
-/// inline. One allocation per callback -- exactly the cost profile the hot
-/// path forbids -- so this is reserved for tests and the sweep runner,
-/// where callbacks are per-job, not per-packet.
-template <typename F>
-InlineCallback boxed(F&& f) {
-  auto owned = std::make_unique<std::decay_t<F>>(std::forward<F>(f));
-  return InlineCallback([p = std::move(owned)] { (*p)(); });
-}
 
 }  // namespace tcn::sim

@@ -99,8 +99,7 @@ class BudgetExceeded : public std::runtime_error {
 class Simulator {
  public:
   /// Move-only, allocation-free event callable. Captures larger than the
-  /// inline budget are a compile error; wrap them with sim::boxed() if the
-  /// allocation is acceptable (tests, per-job runner closures).
+  /// inline budget are a compile error.
   using Callback = InlineCallback;
 
   Simulator() = default;

@@ -1,23 +1,32 @@
-// Seeded mutation fuzz over every hand-written flag and spec grammar: the
-// three sweep front ends' flag tables (tcnsim's experiment, switch and
-// sweep rows, the figure benches and bench/suite, bench/atlas),
-// fault::parse_fault_specs/_grid, traffic::parse_traffic_spec/_grid and
-// core::parse_sched_spec.
+// Seeded mutation fuzz over every hand-written grammar: the three sweep
+// front ends' flag tables (tcnsim's experiment, switch and sweep rows, the
+// figure benches and bench/suite, bench/atlas),
+// fault::parse_fault_specs/_grid, traffic::parse_traffic_spec/_grid,
+// core::parse_sched_spec, and the three file grammars: the tcn-journal-1
+// loader (runner::load_journal), replay JSONL (traffic::load_trace) and
+// obs::JsonValue::parse.
 //
 // Property: every input is either accepted or rejected with a
 // std::invalid_argument whose message names the flag (or --faults /
-// --traffic / --sched for the spec grammars); any other exception fails
-// the test, and under ASan/UBSan nothing may crash or hit undefined
+// --traffic / --sched for the spec grammars); a file is accepted or
+// rejected with its location: `journal '<path>' line N:`, `trace
+// <path>:N:` or, for a JSON document, the byte offset. Any other exception
+// fails the test, and under ASan/UBSan nothing may crash or hit undefined
 // behaviour. Accepted fault and traffic specs carry only finite numbers
 // and non-negative times. The seed is fixed and the iteration count
 // bounded, so a run is deterministic and takes well under a second.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -28,8 +37,11 @@
 #include "bench_util.hpp"
 #include "core/cli.hpp"
 #include "fault/fault.hpp"
+#include "obs/json_value.hpp"
+#include "runner/journal.hpp"
 #include "tcnsim_args.hpp"
 #include "traffic/spec.hpp"
+#include "traffic/trace_replay.hpp"
 
 namespace tcn {
 namespace {
@@ -70,7 +82,6 @@ const std::vector<Argv> kTcnsimCorpus = {
      "sweep.json"},
     {"--on-failure", "cancel_all"},
     {"--on-failure", "record_and_continue"},
-    {"--retries", "3"},
     {"--flows", "50000", "--load", "0.8", "--traffic",
      "poisson:web:websearch:0.7:3;mmpp:batch:datamining:0.3:-:4:0.25:10;"
      "diurnal:60:0.5:1.5",
@@ -100,7 +111,7 @@ const std::vector<Argv> kBenchCorpus = {
     {"--flows", "150", "--loads", "0.7", "--jobs", "4", "--fault-grid",
      "none|loss:leaf*:0.001|linkdown:leaf0-spine0:100:50", "--on-failure",
      "record_and_continue", "--json", "faults.json"},
-    {"--traffic-grid", "none|poisson:web:websearch:1", "--retries", "2"},
+    {"--traffic-grid", "none|poisson:web:websearch:1"},
 };
 
 const std::vector<Argv> kAtlasCorpus = {
@@ -164,6 +175,30 @@ class Mutator {
       s.replace(at, len, kBadNumbers[below(kBadNumbers.size())]);
     } else {
       s = kBadNumbers[below(kBadNumbers.size())];
+    }
+    return s;
+  }
+
+  /// One to three mutations of a file's text: a separator or number
+  /// mutation as above, or drop, repeat or insert a few bytes.
+  std::string mutate_text(std::string s) {
+    static const std::string kJsonBytes = "{}[]\",:\\\n -0e.";
+    for (std::size_t n = 1 + below(3); n > 0; --n) {
+      const std::size_t at = below(s.size() + 1);
+      switch (below(4)) {
+        case 0:
+          s = mutate(std::move(s));
+          break;
+        case 1:
+          s.erase(at, 1 + below(8));
+          break;
+        case 2:
+          s.insert(at, s.substr(at, 1 + below(16)));
+          break;
+        default:
+          s.insert(at, 1, kJsonBytes[below(kJsonBytes.size())]);
+          break;
+      }
     }
     return s;
   }
@@ -344,6 +379,135 @@ TEST(FlagFuzz, SpecGrammarsAcceptOrNameTheirFlag) {
     EXPECT_GT(t->accepted, 0);
     EXPECT_GT(t->rejected, kIterations / 20);
   }
+}
+
+// ------------------------------------------------------- file grammars
+
+/// True when `msg` is `head`, a decimal number, then `tail`.
+bool located(const std::string& msg, const std::string& head,
+             const std::string& tail) {
+  if (!msg.starts_with(head)) return false;
+  std::size_t i = head.size();
+  while (i < msg.size() && std::isdigit(static_cast<unsigned char>(msg[i]))) {
+    ++i;
+  }
+  return i > head.size() && msg.compare(i, tail.size(), tail) == 0;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Feeds `kIterations` mutants of `corpus` to `parse`. A reject must be an
+/// `E` whose message `is_located` accepts; any other exception fails.
+template <class E>
+Tally fuzz_file_grammar(
+    std::uint64_t seed, const std::vector<std::string>& corpus,
+    const std::function<void(const std::string&)>& parse,
+    const std::function<bool(const std::string& text, const std::string&)>&
+        is_located) {
+  Mutator m(seed);
+  Tally tally;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string text = m.mutate_text(corpus[m.below(corpus.size())]);
+    try {
+      parse(text);
+      ++tally.accepted;
+    } catch (const E& e) {
+      ++tally.rejected;
+      EXPECT_TRUE(is_located(text, e.what())) << e.what() << "\n" << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unexpected exception: " << e.what() << "\n" << text;
+    }
+  }
+  return tally;
+}
+
+// A journal from a 2-cell sweep: one cell collects metrics, one samples
+// its queues, so the journal carries both optional run objects.
+TEST(FileFuzz, JournalLinesParseOrNameTheFileAndLine) {
+  const std::string corpus_path = ::testing::TempDir() + "fuzz_corpus.jsonl";
+  std::vector<runner::Job> jobs(2);
+  for (runner::Job& job : jobs) {
+    job.group = "fuzz";
+    job.label = "TCN";
+    job.cfg = bench::testbed_base();
+    job.cfg.star.num_hosts = 3;
+    job.cfg.num_services = 1;
+    job.cfg.num_flows = 10;
+    job.cfg.load = 0.5;
+  }
+  jobs[0].cfg.collect_metrics = true;
+  jobs[1].cfg.timeseries.interval = 100 * sim::kMicrosecond;
+  runner::SweepOptions opt;
+  opt.journal_out = corpus_path;
+  ASSERT_TRUE(runner::run_jobs(std::move(jobs), opt).ok());
+  const std::string journal = read_file(corpus_path);
+  ASSERT_NE(journal.find("\"metrics\""), std::string::npos);
+  ASSERT_NE(journal.find("\"stability\""), std::string::npos);
+
+  const std::string path = ::testing::TempDir() + "fuzz_journal.jsonl";
+  const Tally tally = fuzz_file_grammar<std::runtime_error>(
+      0x5eed'10a1ULL, {journal},
+      [&](const std::string& text) {
+        write_file(path, text);
+        (void)runner::load_journal(path);
+      },
+      [&](const std::string& text, const std::string& msg) {
+        if (text.find_first_not_of('\n') == std::string::npos) {
+          return msg == "journal '" + path + "' has no header line";
+        }
+        return located(msg, "journal '" + path + "' line ", ": ");
+      });
+  EXPECT_GT(tally.accepted, kIterations / 50);
+  EXPECT_GT(tally.rejected, kIterations / 20);
+  std::remove(corpus_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(FileFuzz, ReplayLinesParseOrNameTheFileAndLine) {
+  const std::string trace =
+      "{\"t_s\":0,\"src\":1,\"dst\":0,\"size\":1000}\n"
+      "{\"t_s\":0.001,\"src\":2,\"dst\":0,\"size\":20000,\"service\":1}\n"
+      "\n"
+      "{\"t_s\":0.0025,\"src\":3,\"dst\":1,\"size\":150000,\"dscp\":2}\n";
+  const std::string path = ::testing::TempDir() + "fuzz_trace.jsonl";
+  const Tally tally = fuzz_file_grammar<std::invalid_argument>(
+      0x5eed'7ace5ULL, {trace},
+      [&](const std::string& text) {
+        write_file(path, text);
+        (void)traffic::load_trace(path);
+      },
+      [&](const std::string&, const std::string& msg) {
+        return located(msg, "trace " + path + ":", ": ");
+      });
+  EXPECT_GT(tally.accepted, kIterations / 50);
+  EXPECT_GT(tally.rejected, kIterations / 20);
+  std::remove(path.c_str());
+}
+
+TEST(FileFuzz, JsonDocumentsParseOrNameTheByteOffset) {
+  std::vector<std::filesystem::path> paths;  // sorted: the same corpus order
+  for (const auto& entry : std::filesystem::directory_iterator(GOLDEN_DIR)) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 5u);
+  std::vector<std::string> goldens;
+  for (const auto& path : paths) goldens.push_back(read_file(path.string()));
+  const Tally tally = fuzz_file_grammar<obs::JsonParseError>(
+      0x5eed'd0c5ULL, goldens,
+      [](const std::string& text) { (void)obs::JsonValue::parse(text); },
+      [](const std::string&, const std::string& msg) {
+        return located(msg, "JSON parse error at byte ", ": ");
+      });
+  EXPECT_GT(tally.accepted, kIterations / 50);
+  EXPECT_GT(tally.rejected, kIterations / 20);
 }
 
 }  // namespace

@@ -72,18 +72,14 @@ TEST(SweepFlags, EveryRejectNamesTheFlag) {
       {"bench", {"--journal", ""}, "--journal: empty path"},
       {"bench", {"--resume", ""}, "--resume: empty path"},
       {"bench", {"--on-failure", "sometimes"}, "--on-failure"},
-      {"bench", {"--retries", "0"}, "--retries: must be >= 1"},
+      {"bench",
+       {"--on-failure", "retry"},
+       "--on-failure: unknown failure policy 'retry' (expected cancel_all or "
+       "record_and_continue)"},
       {"bench", {"--fault-grid", "loss:x:nan"}, "--fault-grid"},
       {"bench", {"--fault-grid", ""}, "--fault-grid: empty grid"},
       {"bench", {"--fault-grid", "none|loss:x::"}, "empty field"},
       {"bench", {"--traffic-grid", "poisson:w:cache:inf"}, "--traffic-grid"},
-      // --retries N needs the retry policy, whichever flag comes first.
-      {"bench",
-       {"--retries", "2", "--on-failure", "record_and_continue"},
-       "--on-failure"},
-      {"bench",
-       {"--on-failure", "record_and_continue", "--retries", "2"},
-       "--retries"},
       {"atlas", {"--buffers", "-1"}, "--buffers"},
       {"atlas", {"--loads", "nan"}, "--loads"},
       {"atlas", {"--thresholds-us", "abc"}, "--thresholds-us"},
@@ -99,9 +95,6 @@ TEST(SweepFlags, EveryRejectNamesTheFlag) {
       {"tcnsim", {"--json", ""}, "--json"},
       {"tcnsim", {"--seeds", "1,x"}, "--seeds"},
       {"tcnsim", {"--seeds", ""}, "--seeds"},
-      {"tcnsim",
-       {"--on-failure", "cancel_all", "--retries", "3"},
-       "--on-failure"},
       // The experiment rows name their flag too, including the rejects
       // of the name lookups that do not know it.
       {"tcnsim", {"--scheme", "nosuch"}, "--scheme"},
@@ -144,7 +137,7 @@ TEST(SweepFlags, AcceptedValuesLandInTheirFields) {
       {"--flows", "100", "--loads", "0.5,0.7", "--seed", "3", "--jobs", "2",
        "--json", "-", "--metrics-out", "m.json", "--fault-grid",
        "none|loss:sw0.p0:0.01", "--traffic-grid", "none|poisson:w:cache:1",
-       "--on-failure", "retry", "--retries", "4", "--journal", "j.jsonl",
+       "--on-failure", "record_and_continue", "--journal", "j.jsonl",
        "--resume", "r.jsonl"});
   EXPECT_EQ(a.flows, 100u);
   EXPECT_EQ(a.sweep.loads, (std::vector<double>{0.5, 0.7}));
@@ -155,8 +148,7 @@ TEST(SweepFlags, AcceptedValuesLandInTheirFields) {
   ASSERT_EQ(a.sweep.fault_grid.size(), 2u);
   EXPECT_EQ(a.sweep.fault_grid[1].first, "loss:sw0.p0:0.01");
   ASSERT_EQ(a.sweep.traffic_grid.size(), 2u);
-  EXPECT_EQ(a.sweep.on_failure, runner::FailurePolicy::kRetry);
-  EXPECT_EQ(a.sweep.retries, 4u);
+  EXPECT_EQ(a.sweep.on_failure, runner::FailurePolicy::kRecordAndContinue);
   EXPECT_EQ(a.sweep.journal, "j.jsonl");
   EXPECT_EQ(a.sweep.resume, "r.jsonl");
   // A repeated flag replaces the earlier value.
@@ -170,13 +162,6 @@ TEST(SweepFlags, OptionsFollowThePolicyRules) {
     return runner::sweep_options(parse_bench(args).sweep, "t", journal);
   };
   EXPECT_EQ(options({}).failure_policy, runner::FailurePolicy::kCancelAll);
-  const auto retries = options({"--retries", "2"});
-  EXPECT_EQ(retries.failure_policy, runner::FailurePolicy::kRetry);
-  EXPECT_EQ(retries.retry.max_attempts, 2u);
-  const auto policy_only = options({"--on-failure", "retry"});
-  EXPECT_EQ(policy_only.failure_policy, runner::FailurePolicy::kRetry);
-  EXPECT_EQ(policy_only.retry.max_attempts,
-            runner::RetryPolicy{}.max_attempts);
   EXPECT_EQ(options({"--on-failure", "record_and_continue"}).failure_policy,
             runner::FailurePolicy::kRecordAndContinue);
   const auto jobs = options({"--jobs", "3", "--journal", "j.jsonl"});
@@ -281,10 +266,9 @@ TEST(FlagTable, SwitchesTakeNoValueAndHeadingsMatchNoToken) {
 // Each front end's rows are exactly the flags it accepted before the table
 // existed, and its --help text names every row.
 TEST(FrontEnds, AcceptTheSameFlagsAndDefaults) {
-  const std::set<std::string> sweep = {"--jobs",    "--json",
-                                       "--loads",   "--on-failure",
-                                       "--retries", "--journal",
-                                       "--resume"};
+  const std::set<std::string> sweep = {"--jobs",       "--json",
+                                       "--loads",      "--on-failure",
+                                       "--journal",    "--resume"};
   const auto with = [&](std::set<std::string> extra) {
     extra.insert(sweep.begin(), sweep.end());
     return extra;
@@ -307,7 +291,7 @@ TEST(FrontEnds, AcceptTheSameFlagsAndDefaults) {
   auto tcnsim_rows = with({"--seeds", "--fault-grid", "--traffic-grid"});
   tcnsim_rows.insert(experiment.begin(), experiment.end());
   EXPECT_EQ(row_names(tcnsim_table), tcnsim_rows);
-  EXPECT_EQ(tcnsim_rows.size(), 42u);
+  EXPECT_EQ(tcnsim_rows.size(), 41u);
   EXPECT_EQ(tcnsim.sweep.jobs, 1u);
   EXPECT_TRUE(tcnsim.sweep.loads.empty());
   // Each flag has one row, and the switches are the rows with no metavar.
@@ -318,7 +302,7 @@ TEST(FrontEnds, AcceptTheSameFlagsAndDefaults) {
     ++named;
     if (row.metavar.empty()) switches.insert(row.name);
   }
-  EXPECT_EQ(named, 42u);
+  EXPECT_EQ(named, 41u);
   EXPECT_EQ(switches,
             (std::set<std::string>{"--pias", "--per-flow-connections",
                                    "--persistent-connections", "--sack",
@@ -424,7 +408,7 @@ TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
         {"--loads", ""},
         {"--loads", "0.5,abc"},
         {"--jobs", "-1"},
-        {"--retries", "2", "--on-failure", "record_and_continue"},
+        {"--on-failure", "retry"},
         {"--figure", "fig99"},
         {"--figure", "fig06,"}}},
       {FIG03_BIN, {{"--json", "x.json"}, {"--seed", "1"}}},
@@ -458,9 +442,7 @@ TEST(Binaries, MalformedFlagsExitTwoAtOnceNamingTheFlag) {
                              << ": " << e.output;
       EXPECT_LT(e.ms, 1000.0) << binary << " " << args[0];
       // The message names the flag (for --faults/--traffic, the clause).
-      const std::string& named =
-          args[0] == "--retries" ? args[2] : args[0];
-      EXPECT_NE(e.output.find(named), std::string::npos)
+      EXPECT_NE(e.output.find(args[0]), std::string::npos)
           << binary << ": " << e.output;
     }
   }
@@ -476,8 +458,11 @@ TEST(Binaries, MicroCoreFailsWhenTheJsonWriteFails) {
       << e.output;
 }
 
-// The sweep benches ran the whole sweep, then died on the uncaught write
-// error (std::terminate, exit 134).
+// Exit 1 means something failed after the command line was accepted;
+// exit 2 is kept for a rejected input. The sweep benches ran the whole
+// sweep, then died on the uncaught write error (std::terminate, exit 134);
+// tcnsim and atlas, and suite for a journal, exited 2 as if a flag were
+// malformed.
 TEST(Binaries, SweepBenchesFailWhenAResultWriteFails) {
   struct Case {
     std::string binary;
@@ -500,6 +485,44 @@ TEST(Binaries, SweepBenchesFailWhenAResultWriteFails) {
        "suite: cannot open '/nonexistent/m.json'"},
       {TCN_THRESHOLD_BIN, with({"--json", "/dev/full"}),
        "ablation_tcn_threshold: write failed for '/dev/full'"},
+      {SUITE_BIN, with({"--figure", "fig06", "--journal", "/dev/full"}),
+       "suite: write failed on journal '/dev/full'"},
+      {TCNSIM_BIN, {"--flows", "5", "--json", "/dev/full"},
+       "tcnsim: write failed for '/dev/full'"},
+      {TCNSIM_BIN, {"--flows", "5", "--loads", "0.5,0.7", "--journal",
+                    "/dev/full"},
+       "tcnsim: write failed on journal '/dev/full'"},
+      {ATLAS_BIN,
+       {"--flows", "20", "--thresholds-us", "256", "--loads", "0.5",
+        "--buffers", "96000", "--schemes", "tcn", "--scheds", "dwrr",
+        "--json", "/dev/full"},
+       "atlas: write failed for '/dev/full'"},
+  };
+  for (const Case& c : cases) {
+    const Exit e = run(c.binary, c.args, /*keep_stdout=*/false);
+    EXPECT_EQ(e.status, 1) << c.binary << ": " << e.output;
+    EXPECT_NE(e.output.find(c.names), std::string::npos)
+        << c.binary << ": " << e.output;
+  }
+}
+
+// A failed run exits 1 and names the error; tcnsim exited 2 for it.
+TEST(Binaries, SweepFrontEndsExitOneWhenARunFails) {
+  struct Case {
+    std::string binary;
+    Argv args;
+    const char* names;  // a substring of the run's error
+  };
+  const std::vector<Case> cases = {
+      {TCNSIM_BIN, {"--flows", "20", "--event-budget", "100"},
+       "event budget of 100 events exhausted"},
+      {TCNSIM_BIN,
+       {"--flows", "20", "--event-budget", "100", "--loads", "0.5,0.7"},
+       "event budget of 100 events exhausted"},
+      {SUITE_BIN,
+       {"--figure", "fig06", "--flows", "5", "--loads", "0.5",
+        "--fault-grid", "loss:no-such-port:0.01"},
+       "target 'no-such-port' matches no port"},
   };
   for (const Case& c : cases) {
     const Exit e = run(c.binary, c.args, /*keep_stdout=*/false);
@@ -556,10 +579,9 @@ TEST(Binaries, SuiteRunsTheNamedFiguresInSuiteOrder) {
 }
 
 TEST(Binaries, HelpNamesEveryFlag) {
-  const std::vector<std::string> sweep = {"--jobs",   "--json",
-                                          "--loads",  "--on-failure",
-                                          "--retries", "--journal",
-                                          "--resume"};
+  const std::vector<std::string> sweep = {"--jobs",    "--json",
+                                          "--loads",   "--on-failure",
+                                          "--journal", "--resume"};
   const std::vector<std::pair<std::string, std::vector<std::string>>> bins =
       {{TCNSIM_BIN, {"--seeds", "--fault-grid", "--traffic-grid", "--scheme",
                      "--faults", "--traffic", "--seed"}},

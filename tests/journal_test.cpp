@@ -563,11 +563,11 @@ TEST(Journal, ResumeRejectsAJournalFromADifferentSweep) {
   other.loads = {0.5, 0.7};  // different grid, same size
   runner::SweepOptions ropt;
   ropt.resume = &data;
-  EXPECT_THROW(runner::run_sweep(other, ropt), std::runtime_error);
+  EXPECT_THROW(runner::run_sweep(other, ropt), std::invalid_argument);
 
   auto bigger = small_spec();
   bigger.seeds = {7, 8};  // different job count
-  EXPECT_THROW(runner::run_sweep(bigger, ropt), std::runtime_error);
+  EXPECT_THROW(runner::run_sweep(bigger, ropt), std::invalid_argument);
   std::remove(path.c_str());
 }
 

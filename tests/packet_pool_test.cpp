@@ -561,22 +561,6 @@ TEST(InlineCallback, MoveTransfersOwnership) {
   EXPECT_EQ(hits, 1);
 }
 
-TEST(InlineCallback, BoxedFallbackHandlesOversizedCaptures) {
-  // A capture bigger than the 64B inline budget is a compile error on the
-  // direct path; boxed() is the sanctioned heap escape hatch for tests and
-  // runner-scale closures.
-  struct Big {
-    char blob[256];
-  };
-  Big big{};
-  big.blob[255] = 7;
-  int result = 0;
-  sim::Simulator s;
-  s.schedule_at(1, sim::boxed([big, &result] { result = big.blob[255]; }));
-  s.run();
-  EXPECT_EQ(result, 7);
-}
-
 TEST(InlineCallback, CompileTimeBudget) {
   // The inline budget itself is part of the contract: a {this, index,
   // PacketPtr} forwarding capture must fit with room to spare.

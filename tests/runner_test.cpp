@@ -1,16 +1,15 @@
 // Tests for the parallel sweep runner (src/runner): JSON writer behaviour,
-// grid expansion (including the fault axis), thread-pool lifecycle, failure
-// policies (cancel_all / record_and_continue / retry) with their error
+// grid expansion (including the fault axis), the worker loop, the two
+// failure policies (cancel_all / record_and_continue) with their error
 // taxonomy, the determinism contract (same sweep at jobs=1 and jobs=N
-// produces bit-identical aggregated results, failures included), and a
-// golden for the tcn-bench-1 JSON schema.
+// produces bit-identical aggregated results, failures included), an
+// on_done exception that propagates at any worker count, and a golden for
+// the tcn-bench-1 JSON schema.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "obs/json.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 #include "topo/network.hpp"
 
 namespace tcn {
@@ -92,84 +90,6 @@ TEST(PacketUid, ScopeRestartsAndNests) {
   const auto a = net::make_packet();
   const auto b = net::make_packet();
   EXPECT_NE(a->uid, b->uid);
-}
-
-// ---------------------------------------------------------- thread pool ----
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  runner::ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_EQ(pool.tasks_completed(), 200u);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-}
-
-TEST(ThreadPool, ShutdownWithoutDiscardDrainsQueue) {
-  std::atomic<int> count{0};
-  runner::ThreadPool pool(2);
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.shutdown(/*discard_pending=*/false);
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, AcceptsMoveOnlyTasks) {
-  // The queue holds move-only InlineCallbacks now: job closures (and the
-  // resources they own) are moved in exactly once, never copied per submit.
-  std::atomic<int> result{0};
-  runner::ThreadPool pool(2);
-  auto payload = std::make_unique<int>(42);
-  pool.submit([p = std::move(payload), &result] { result = *p; });
-  pool.wait_idle();
-  EXPECT_EQ(result.load(), 42);
-  pool.shutdown();
-}
-
-TEST(ThreadPool, OversizedTasksGoThroughBoxed) {
-  // Closures beyond the 64B inline budget use the sanctioned heap fallback.
-  struct Fat {
-    char blob[128] = {};
-  };
-  std::atomic<int> result{0};
-  runner::ThreadPool pool(1);
-  Fat fat;
-  fat.blob[0] = 7;
-  pool.submit(sim::boxed([fat, &result] { result = fat.blob[0]; }));
-  pool.wait_idle();
-  EXPECT_EQ(result.load(), 7);
-  pool.shutdown();
-}
-
-TEST(ThreadPool, EscapedExceptionsAreCountedNotSwallowed) {
-#ifdef NDEBUG
-  // Release builds survive the escaped exception but count and report it:
-  // a task throw is always a harness bug, never silently dropped.
-  runner::ThreadPool pool(1);
-  pool.submit([] { throw std::runtime_error("task bug"); });
-  std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(pool.tasks_faulted(), 1u);
-  pool.shutdown();
-#else
-  // Debug builds abort instead, so the bug cannot hide behind a green run.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        runner::ThreadPool pool(1);
-        pool.submit([] { throw std::runtime_error("task bug"); });
-        pool.wait_idle();
-      },
-      "exception escaped a task");
-#endif
 }
 
 // ---------------------------------------------------------------- sweep ----
@@ -321,78 +241,61 @@ TEST(Sweep, ErrorKindAndFailurePolicyNamesRoundTrip) {
   EXPECT_THROW((void)runner::error_kind_from_name("nope"),
                std::invalid_argument);
   using runner::FailurePolicy;
-  for (auto p : {FailurePolicy::kCancelAll, FailurePolicy::kRecordAndContinue,
-                 FailurePolicy::kRetry}) {
+  for (auto p : {FailurePolicy::kCancelAll,
+                 FailurePolicy::kRecordAndContinue}) {
     EXPECT_EQ(runner::failure_policy_from_name(runner::failure_policy_name(p)),
               p);
   }
   EXPECT_THROW((void)runner::failure_policy_from_name("nope"),
                std::invalid_argument);
-}
-
-TEST(Sweep, RetryBackoffIsDeterministicAndBounded) {
-  runner::RetryPolicy p;  // base 100 ms, cap 5000 ms, jitter 0.5
-  const double a = runner::retry_backoff_ms(p, 2, 7, 42);
-  EXPECT_EQ(a, runner::retry_backoff_ms(p, 2, 7, 42));  // pure function
-  EXPECT_NE(a, runner::retry_backoff_ms(p, 2, 8, 42));  // decorrelated by job
-  EXPECT_NE(a, runner::retry_backoff_ms(p, 3, 7, 42));  // ...and by attempt
-  EXPECT_GE(a, 50.0);  // attempt 2: base * [1-jitter, 1+jitter)
-  EXPECT_LT(a, 150.0);
-  const double b = runner::retry_backoff_ms(p, 3, 7, 42);
-  EXPECT_GE(b, 100.0);  // attempt 3 doubles the base
-  EXPECT_LT(b, 300.0);
-  p.jitter = 0.0;
-  // The exponential curve is capped, and attempt 1 never waits.
-  EXPECT_EQ(runner::retry_backoff_ms(p, 30, 0, 0), p.backoff_max_ms);
-  EXPECT_EQ(runner::retry_backoff_ms(p, 1, 0, 0), 0.0);
-}
-
-TEST(Sweep, RetryRecordsAttemptsAndGivesUp) {
-  auto spec = small_spec();
-  spec.base.num_services = 0;  // deterministic failure: retries cannot help
-  runner::SweepOptions opt;
-  opt.jobs = 2;
-  opt.failure_policy = runner::FailurePolicy::kRetry;
-  opt.retry.max_attempts = 3;
-  opt.retry_sleep = false;
-  const auto res = runner::run_sweep(spec, opt);
-  EXPECT_EQ(res.failed, 4u);
-  EXPECT_EQ(res.skipped, 0u);
-  EXPECT_EQ(res.retries, 4u * 2u);  // two extra executions per job
-  for (const auto& r : res.runs) {
-    EXPECT_EQ(r.attempts, 3u);
-    EXPECT_EQ(r.error_kind, runner::ErrorKind::kException);
-  }
+  EXPECT_THROW((void)runner::failure_policy_from_name("retry"),
+               std::invalid_argument);
 }
 
 TEST(Sweep, FailureDeterminismAcrossJobCounts) {
   // Mixed grid: "none" cells succeed; the bad-target fault cells throw
   // deterministically when the plan is applied to the topology. The
   // aggregated document (minus wall-clock fields) must not depend on the
-  // worker count under either non-cancelling policy.
+  // worker count.
   auto spec = small_spec();
   spec.faults = {{"none", {}},
                  {"loss:no-such-port:0.01",
                   fault::parse_fault_specs("loss:no-such-port:0.01")}};
-  for (auto policy : {runner::FailurePolicy::kRecordAndContinue,
-                      runner::FailurePolicy::kRetry}) {
-    runner::SweepOptions serial;
-    serial.jobs = 1;
-    serial.failure_policy = policy;
-    serial.retry.max_attempts = 2;
-    serial.retry_sleep = false;
-    runner::SweepOptions parallel = serial;
-    parallel.jobs = 8;
-    const auto a = runner::run_sweep(spec, serial);
-    const auto b = runner::run_sweep(spec, parallel);
-    ASSERT_EQ(a.runs.size(), 8u);
-    EXPECT_EQ(a.completed, 4u);
-    EXPECT_EQ(a.failed, 4u);
-    EXPECT_EQ(a.failed_exception, 4u);
-    EXPECT_EQ(b.failed, 4u);
-    EXPECT_EQ(runner::to_json(a, "unit", /*include_timing=*/false),
-              runner::to_json(b, "unit", /*include_timing=*/false))
-        << "policy " << runner::failure_policy_name(policy);
+  runner::SweepOptions serial;
+  serial.jobs = 1;
+  serial.failure_policy = runner::FailurePolicy::kRecordAndContinue;
+  runner::SweepOptions parallel = serial;
+  parallel.jobs = 8;
+  const auto a = runner::run_sweep(spec, serial);
+  const auto b = runner::run_sweep(spec, parallel);
+  ASSERT_EQ(a.runs.size(), 8u);
+  EXPECT_EQ(a.completed, 4u);
+  EXPECT_EQ(a.failed, 4u);
+  EXPECT_EQ(a.failed_exception, 4u);
+  EXPECT_EQ(b.failed, 4u);
+  EXPECT_EQ(runner::to_json(a, "unit", /*include_timing=*/false),
+            runner::to_json(b, "unit", /*include_timing=*/false));
+}
+
+// A run's failure is a record; a failure to record a run is not. The first
+// exception from on_done (or a journal append) stops the hand-out and
+// leaves run_sweep, whatever the worker count.
+TEST(Sweep, OnDoneExceptionPropagatesForAnyWorkerCount) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    int calls = 0;  // on_done calls are serialized by the runner
+    runner::SweepOptions opt;
+    opt.jobs = jobs;
+    opt.on_done = [&calls](const runner::RunRecord&) {
+      if (calls++ == 0) throw std::runtime_error("on_done failed");
+    };
+    try {
+      (void)runner::run_sweep(small_spec(), opt);
+      ADD_FAILURE() << "jobs " << jobs << ": throws nothing";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "on_done failed") << "jobs " << jobs;
+    }
+    // No record reaches on_done after the one that threw.
+    EXPECT_EQ(calls, 1) << "jobs " << jobs;
   }
 }
 

@@ -10,6 +10,11 @@
 // --jobs worker threads (src/runner); per-run reports print in grid order
 // -- byte-identical for any job count -- and --json writes the structured
 // results (schema tcn-bench-1). See tcnsim --help for every flag.
+//
+// Exit status: 0 when every run succeeded; 2 when the input was rejected
+// (a flag, a clause, a replay or journal line, a --resume journal from
+// another sweep); 1 when something failed after that (a run, or reading or
+// writing a file).
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -117,9 +122,12 @@ int main(int argc, char** argv) {
     if (!metrics_path.empty()) {
       tcn::runner::write_metrics_file(res, "tcnsim", metrics_path);
     }
-    return res.ok() ? 0 : 2;
-  } catch (const std::exception& e) {
+    return res.ok() ? 0 : 1;
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "tcnsim: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tcnsim: %s\n", e.what());
+    return 1;
   }
 }
