@@ -147,9 +147,8 @@ inline void apply_atlas_threshold(core::FctExperiment& cfg, double t_us) {
   cfg.params.pie_update = 0;
 }
 
-/// Compact deterministic cell label, e.g. "TCN/dwrr/t256/l0.7/b96000" --
-/// jobs_digest hashes labels, so the label string is what distinguishes
-/// threshold/buffer cells in a resume-validation digest.
+/// Compact deterministic cell label, e.g. "TCN/dwrr/t256/l0.7/b96000":
+/// a resumed journal's records are matched to their cells by this label.
 inline std::string atlas_cell_label(const std::string& scheme,
                                     const std::string& sched, double t_us,
                                     double load, std::uint64_t buffer) {

@@ -314,7 +314,7 @@ BenchResult bench_flow_slab(double min_secs) {
             slot.sink.emplace(dst, slot.dport, 0);
             slot.sender.emplace(src, dst.address(), slot.sport, slot.dport,
                                 slot.flow_id, tcp,
-                                transport::constant_dscp(0), 0, nullptr);
+                                transport::constant_dscp(0), 0);
             in_flight.push_back(idx);
           }
           for (const auto idx : in_flight) slab.recycle(idx);

@@ -69,7 +69,6 @@ class GilbertElliottLoss final : public net::LossModel {
   [[nodiscard]] std::string_view name() const override {
     return "gilbert-elliott";
   }
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_; }
 
  private:
   Params params_;

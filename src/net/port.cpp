@@ -98,18 +98,20 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
 void Port::resolve_metrics() {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::current();
   if (reg == nullptr) return;
-  metrics_.enabled = true;
   const std::string base = "port." + name_ + ".";
   for (std::size_t q = 0; q < queues_.size(); ++q) {
     const std::string qbase = base + "q" + std::to_string(q) + ".";
-    metrics_.q_enq.push_back(&reg->counter(qbase + "enq_packets"));
-    metrics_.q_deq.push_back(&reg->counter(qbase + "deq_packets"));
-    metrics_.q_drop.push_back(&reg->counter(qbase + "drop_packets"));
+    const QueueCounters* c = &queues_[q].counters();
+    reg->read_counter(qbase + "enq_packets", [c] { return c->enq_packets; });
+    reg->read_counter(qbase + "deq_packets", [c] { return c->tx_packets; });
+    reg->read_counter(qbase + "drop_packets", [c] { return c->drops; });
     metrics_.q_sojourn.push_back(&reg->histogram(qbase + "sojourn_ns"));
   }
-  metrics_.drops_buffer = &reg->counter(base + "drops.buffer");
-  metrics_.drops_fault = &reg->counter(base + "drops.fault");
-  metrics_.drops_sched = &reg->counter(base + "drops.sched");
+  reg->read_counter(base + "drops.buffer", [this] { return counters().drops; });
+  reg->read_counter(base + "drops.fault",
+                    [this] { return counters().fault_drops; });
+  reg->read_counter(base + "drops.sched",
+                    [this] { return counters().sched_drops; });
   metrics_.marks_enqueue = &reg->counter(base + "marks.enqueue");
   metrics_.marks_dequeue = &reg->counter(base + "marks.dequeue");
   metrics_.mark_sojourn = &reg->histogram(base + "mark_sojourn_ns");
@@ -157,7 +159,6 @@ void Port::fault_drop(const Packet& p, std::size_t queue) {
   QueueCounters& c = queues_[queue].counters();
   ++c.fault_drops;
   c.fault_drop_bytes += p.size;
-  if (metrics_.enabled) metrics_.drops_fault->inc();
   if (observer_ != nullptr) emit(TraceEvent::kFaultDrop, p, queue);
 }
 
@@ -184,10 +185,6 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
   if (total_bytes_ + p->size > buffer_limit_) {
     ++c.drops;
     c.drop_bytes += p->size;
-    if (metrics_.enabled) {
-      metrics_.drops_buffer->inc();
-      metrics_.q_drop[queue]->inc();
-    }
     if (observer_ != nullptr) emit(TraceEvent::kDrop, *p, queue);
     return;  // packet destroyed
   }
@@ -202,12 +199,10 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
   if (!admitted) {
     ++c.sched_drops;
     c.sched_drop_bytes += p->size;
-    if (metrics_.enabled) metrics_.drops_sched->inc();
     if (observer_ != nullptr) emit(TraceEvent::kSchedDrop, *p, queue);
     return;  // packet destroyed
   }
   total_bytes_ += p->size;
-  if (metrics_.enabled) metrics_.q_enq[queue]->inc();
 
   Packet& ref = *p;
   queues_[queue].push(std::move(p), sim_.now());
@@ -224,7 +219,7 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
   if (mark_enq && ref.ect()) {
     ref.ecn = Ecn::kCe;
     ++c.marks;
-    if (metrics_.enabled) {
+    if (metrics_.marks_enqueue != nullptr) {
       metrics_.marks_enqueue->inc();
       metrics_.mark_sojourn->record(0);  // marked on arrival: no queueing yet
     }
@@ -257,14 +252,13 @@ void Port::try_transmit() {
   if (mark_deq && p->ect()) {
     p->ecn = Ecn::kCe;
     ++queues_[q].counters().marks;
-    if (metrics_.enabled) {
+    if (metrics_.marks_dequeue != nullptr) {
       metrics_.marks_dequeue->inc();
       metrics_.mark_sojourn->record(sojourn);
     }
     if (observer_ != nullptr) emit(TraceEvent::kMark, *p, q, sojourn);
   }
-  if (metrics_.enabled) {
-    metrics_.q_deq[q]->inc();
+  if (metrics_.interdeq_gap != nullptr) {
     metrics_.q_sojourn[q]->record(sojourn);
     if (last_dequeue_ >= 0) {
       metrics_.interdeq_gap->record(sim_.now() - last_dequeue_);

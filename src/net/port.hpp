@@ -109,8 +109,6 @@ class Port {
   }
   [[nodiscard]] const PortConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] Scheduler& scheduler() noexcept { return *sched_; }
-  [[nodiscard]] Marker& marker() noexcept { return *marker_; }
   /// Far end of the link (nullptr until connect()).
   [[nodiscard]] Node* peer() const noexcept { return peer_; }
 
@@ -120,19 +118,11 @@ class Port {
 
  private:
   /// Handles into the run's MetricsRegistry, resolved once at construction
-  /// from MetricsRegistry::current(). When no registry scope is installed
-  /// every pointer stays null and `enabled` is false, so each publish site
-  /// in the hot path costs exactly one predictable branch (the same
-  /// discipline as the PortObserver null check).
+  /// from MetricsRegistry::current(); null when no registry scope is
+  /// installed, so each hot-path publish site costs one predictable branch.
+  /// The registry reads enqueues, dequeues and drops from QueueCounters.
   struct Metrics {
-    bool enabled = false;
-    std::vector<obs::Counter*> q_enq;
-    std::vector<obs::Counter*> q_deq;
-    std::vector<obs::Counter*> q_drop;
     std::vector<obs::LogHistogram*> q_sojourn;
-    obs::Counter* drops_buffer = nullptr;
-    obs::Counter* drops_fault = nullptr;
-    obs::Counter* drops_sched = nullptr;
     obs::Counter* marks_enqueue = nullptr;
     obs::Counter* marks_dequeue = nullptr;
     obs::LogHistogram* mark_sojourn = nullptr;
@@ -157,7 +147,8 @@ class Port {
   /// (std::visit over final classes = direct calls) instead of the vtable.
   SchedulerVariant sched_v_;
   MarkerVariant marker_v_;
-  /// Each queue counts its own events; sampler channels read those counts.
+  /// Each queue counts its own events; sampler channels and the metrics
+  /// registry read those counts.
   std::vector<PacketQueue> queues_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t buffer_limit_;

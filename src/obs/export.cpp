@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
 
@@ -7,24 +8,27 @@ namespace tcn::obs {
 
 namespace {
 
+template <typename Int>
+void append_int(std::string& line, Int v) {
+  char buf[24];
+  line.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 void append_field(std::string& line, const char* key, std::uint64_t v) {
   line += ",\"";
   line += key;
   line += "\":";
-  line += std::to_string(v);
+  append_int(line, v);
 }
 
-}  // namespace
-
-std::string trace_record_to_json(const net::TraceRecord& rec) {
-  std::string line;
-  line.reserve(160);
+/// Appends `rec`'s tcn-trace-1 line, without the newline, to `line`.
+void append_trace_record(std::string& line, const net::TraceRecord& rec) {
   line += "{\"t\":";
-  line += std::to_string(rec.t);
+  append_int(line, rec.t);
   line += ",\"ev\":\"";
   line += net::trace_event_name(rec.event);
   line += "\",\"port\":\"";
-  line += escape_json(rec.port);
+  append_escaped_json(line, rec.port);
   line += '"';
   append_field(line, "q", rec.queue);
   append_field(line, "flow", rec.flow);
@@ -34,8 +38,15 @@ std::string trace_record_to_json(const net::TraceRecord& rec) {
   append_field(line, "qbytes", rec.queue_bytes);
   append_field(line, "pbytes", rec.port_bytes);
   line += ",\"sojourn\":";
-  line += std::to_string(rec.sojourn);
+  append_int(line, rec.sojourn);
   line += '}';
+}
+
+}  // namespace
+
+std::string trace_record_to_json(const net::TraceRecord& rec) {
+  std::string line;
+  append_trace_record(line, rec);
   return line;
 }
 
@@ -44,7 +55,8 @@ JsonlTraceWriter::JsonlTraceWriter(std::ostream& out) : out_(out) {
 }
 
 void JsonlTraceWriter::on_event(const net::TraceRecord& rec) {
-  line_ = trace_record_to_json(rec);
+  line_.clear();
+  append_trace_record(line_, rec);
   line_ += '\n';
   out_ << line_;
   ++records_;

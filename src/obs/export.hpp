@@ -42,7 +42,7 @@ class JsonlTraceWriter final : public net::PortObserver {
  private:
   std::ostream& out_;
   std::uint64_t records_ = 0;
-  std::string line_;  // reused per record to avoid per-event allocation
+  std::string line_;  // formatted in place: allocates only to grow
 };
 
 /// Format one trace record as its compact tcn-trace-1 JSON line (no

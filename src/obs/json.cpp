@@ -27,9 +27,7 @@ std::string format_double(double v) {
   return "null";  // unreachable
 }
 
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void append_escaped_json(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -64,7 +62,6 @@ std::string escape_json(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 void JsonWriter::newline_indent() {
@@ -100,7 +97,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   has_items_.back() = true;
   newline_indent();
   out_ += '"';
-  out_ += escape_json(k);
+  append_escaped_json(out_, k);
   out_ += indent_ > 0 ? "\": " : "\":";
   key_pending_ = true;
   return *this;
@@ -149,7 +146,7 @@ JsonWriter& JsonWriter::end_array() {
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
   out_ += '"';
-  out_ += escape_json(v);
+  append_escaped_json(out_, v);
   out_ += '"';
   return *this;
 }

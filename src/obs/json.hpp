@@ -24,8 +24,9 @@ namespace tcn::obs {
 /// inf/nan).
 std::string format_double(double v);
 
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string escape_json(std::string_view s);
+/// Appends `s` to `out` with JSON string escaping per RFC 8259 (quotes,
+/// backslash, control chars); allocates only when `out` must grow.
+void append_escaped_json(std::string& out, std::string_view s);
 
 /// Streaming writer with an explicit nesting stack; misuse (value without a
 /// key inside an object, unbalanced end_*) throws std::logic_error so tests

@@ -60,16 +60,9 @@ class JsonValue {
 
   [[nodiscard]] Type type() const noexcept { return type_; }
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
     return type_ == Type::kUInt || type_ == Type::kInt ||
            type_ == Type::kDouble;
-  }
-  [[nodiscard]] bool is_string() const noexcept {
-    return type_ == Type::kString;
-  }
-  [[nodiscard]] bool is_array() const noexcept {
-    return type_ == Type::kArray;
   }
   [[nodiscard]] bool is_object() const noexcept {
     return type_ == Type::kObject;

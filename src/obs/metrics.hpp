@@ -7,6 +7,9 @@
 //     construction time, from the thread-local MetricsRegistry::Scope; when
 //     no scope is installed the handles stay null and every publish site is
 //     a single predictable branch on a null pointer
+//   - one count per event: an event the instrumented object already counts
+//     (a port queue's QueueCounters, the traffic engine's totals) is not
+//     counted again; the registry reads that count at snapshot time
 //   - per-run isolation: one registry per simulation run, installed
 //     thread-locally exactly like net::PacketPool::Scope, so concurrent
 //     sweep jobs never contend or mix their metrics
@@ -23,7 +26,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -222,11 +227,35 @@ struct MetricsSnapshot {
 /// the whole run.
 class MetricsRegistry {
  public:
+  using Read = std::function<std::uint64_t()>;
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(std::string_view name) { return find(counters_, name); }
+  /// Throws std::logic_error when `name` is read (read_counter).
+  Counter& counter(std::string_view name) {
+    CounterSlot& slot = find(counters_, name);
+    if (slot.read) throw_counted_and_read(name);
+    return slot.counter;
+  }
+
+  /// A counter that reads, at each snapshot, a count the instrumented
+  /// object keeps: the sum of every `read` registered under `name`. A read
+  /// must stay valid until the registry's last snapshot, the contract a
+  /// TimeSeries channel has with its queue. Throws std::logic_error when
+  /// `name` is counted (counter()).
+  void read_counter(std::string_view name, Read read) {
+    auto [it, fresh] = counters_.try_emplace(std::string(name));
+    Read& sum = it->second.read;
+    if (!fresh && !sum) throw_counted_and_read(name);
+    if (sum) {
+      sum = [a = std::move(sum), b = std::move(read)] { return a() + b(); };
+    } else {
+      sum = std::move(read);
+    }
+  }
+
   Gauge& gauge(std::string_view name) { return find(gauges_, name); }
   LogHistogram& histogram(std::string_view name) {
     return find(histograms_, name);
@@ -239,8 +268,9 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const {
     MetricsSnapshot s;
     s.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) {
-      s.counters.push_back({name, c.value()});
+    for (const auto& [name, slot] : counters_) {
+      s.counters.push_back(
+          {name, slot.read ? slot.read() : slot.counter.value()});
     }
     s.gauges.reserve(gauges_.size());
     for (const auto& [name, g] : gauges_) {
@@ -279,6 +309,12 @@ class MetricsRegistry {
   }
 
  private:
+  /// Counted (counter) or read (read), never both.
+  struct CounterSlot {
+    Counter counter;
+    Read read;
+  };
+
   template <typename T>
   T& find(std::map<std::string, T, std::less<>>& m, std::string_view name) {
     auto it = m.find(name);
@@ -286,12 +322,17 @@ class MetricsRegistry {
     return it->second;
   }
 
+  [[noreturn]] static void throw_counted_and_read(std::string_view name) {
+    throw std::logic_error("MetricsRegistry: '" + std::string(name) +
+                           "' is both counted and read");
+  }
+
   static MetricsRegistry*& tls_slot() noexcept {
     static thread_local MetricsRegistry* current = nullptr;
     return current;
   }
 
-  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, CounterSlot, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, LogHistogram, std::less<>> histograms_;
 };

@@ -148,8 +148,10 @@ SweepOptions sweep_options(const SweepFlags& f, const std::string& name,
   if (f.resume.empty()) return opt;
   try {
     resume = load_journal(f.resume);
-  } catch (const std::exception& e) {
+  } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("--resume: ") + e.what());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("--resume: ") + e.what());
   }
   opt.resume = &resume;
   std::fprintf(stderr,

@@ -105,8 +105,9 @@ void add_grid_flags(FlagTable& table, SweepFlags& flags);
 
 /// The SweepOptions `flags` ask for; `name` heads a fresh journal. Loads
 /// the --resume journal into `resume`, which must outlive the sweep, and
-/// reports it on stderr. Throws std::invalid_argument naming --resume when
-/// the journal cannot be loaded.
+/// reports it on stderr. Throws, naming --resume, std::invalid_argument
+/// when the journal is rejected and std::runtime_error when it cannot be
+/// read.
 SweepOptions sweep_options(const SweepFlags& flags, const std::string& name,
                            JournalData& resume);
 

@@ -47,10 +47,6 @@ class DwrrScheduler final : public net::Scheduler,
   [[nodiscard]] std::uint64_t quantum(std::size_t q) const {
     return quanta_.at(q);
   }
-  /// Smoothed round time of queue q (0 = unknown / treat as full rate).
-  [[nodiscard]] sim::Time round_time(std::size_t q) const {
-    return smoothed_round_[q];
-  }
 
  private:
   struct QState {

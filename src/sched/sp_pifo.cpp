@@ -28,13 +28,11 @@ std::size_t SpPifoScheduler::map_to_level(std::int64_t rank) {
   // the rank clears; enqueue there and push the bound up to the rank.
   for (std::size_t l = bounds_.size(); l-- > 1;) {
     if (bounds_[l] <= rank) {
-      if (rank > bounds_[l]) ++push_ups_;
       bounds_[l] = rank;
       return l;
     }
   }
   if (bounds_[0] <= rank) {
-    if (rank > bounds_[0]) ++push_ups_;
     bounds_[0] = rank;
     return 0;
   }

@@ -47,9 +47,8 @@ class SpPifoScheduler final : public net::Scheduler {
   [[nodiscard]] std::size_t levels() const noexcept { return bounds_.size(); }
   /// Current rank bound of level `l` (level 0 = highest priority).
   [[nodiscard]] std::int64_t bound(std::size_t l) const { return bounds_.at(l); }
-  /// Adaptation telemetry: enqueues that raised a level bound, and
-  /// adaptation events that pushed every bound down (the paper's cost step).
-  [[nodiscard]] std::uint64_t push_ups() const noexcept { return push_ups_; }
+  /// Adaptation telemetry: events that pushed every bound down (the
+  /// paper's cost step).
   [[nodiscard]] std::uint64_t push_downs() const noexcept {
     return push_downs_;
   }
@@ -70,7 +69,6 @@ class SpPifoScheduler final : public net::Scheduler {
   std::vector<std::int64_t> bounds_;       // per level, level 0 = highest
   std::vector<sim::Fifo<Entry>> entries_;  // parallel to the physical queues
   std::uint64_t arrivals_ = 0;
-  std::uint64_t push_ups_ = 0;
   std::uint64_t push_downs_ = 0;
   std::size_t last_level_ = 0;
 };

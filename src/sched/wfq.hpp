@@ -30,9 +30,6 @@ class WfqScheduler final : public net::Scheduler {
 
   [[nodiscard]] std::string_view name() const override { return "wfq"; }
 
-  /// Finish tag of queue q's head packet (tests); queue must be non-empty.
-  [[nodiscard]] double head_tag(std::size_t q) const { return tags_[q].front(); }
-
  private:
   std::vector<double> weights_;
   std::vector<sim::Fifo<double>> tags_;  // finish tags parallel to queues

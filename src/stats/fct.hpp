@@ -34,11 +34,6 @@ class FctCollector {
   [[nodiscard]] FctSummary summary() const;
   [[nodiscard]] std::size_t count() const noexcept { return all_us_.size(); }
 
-  /// Raw small-flow FCTs in microseconds (for external percentile analysis).
-  [[nodiscard]] const std::vector<double>& small_us() const noexcept {
-    return small_us_;
-  }
-
  private:
   std::vector<double> all_us_;
   std::vector<double> small_us_;

@@ -35,7 +35,6 @@ class GoodputMeter {
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept { return total_; }
   [[nodiscard]] sim::Time bin_width() const noexcept { return bin_width_; }
-  [[nodiscard]] std::size_t num_bins() const noexcept { return bins_.size(); }
 
  private:
   sim::Time bin_width_;

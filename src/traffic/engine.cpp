@@ -97,26 +97,21 @@ TrafficEngine::TrafficEngine(sim::Simulator& sim,
   }
 
   if (obs::MetricsRegistry* reg = obs::MetricsRegistry::current()) {
-    obs_arrivals_ = &reg->counter("traffic/arrivals");
-    obs_completed_ = &reg->counter("traffic/completed");
-    obs_replayed_ = &reg->counter("traffic/replayed");
-    obs_offered_bytes_ = &reg->counter("traffic/offered_bytes");
-    obs_achieved_bytes_ = &reg->counter("traffic/achieved_bytes");
-    obs_slab_reuses_ = &reg->counter("traffic/slab_reuses");
+    reg->read_counter("traffic/arrivals", [this] { return arrivals_; });
+    reg->read_counter("traffic/completed", [this] { return completed_; });
+    reg->read_counter("traffic/replayed", [this] { return replayed_; });
+    reg->read_counter("traffic/offered_bytes",
+                      [this] { return offered_bytes_; });
+    reg->read_counter("traffic/achieved_bytes",
+                      [this] { return achieved_bytes_; });
+    reg->read_counter("traffic/slab_reuses",
+                      [slab = slab_] { return slab->reuses(); });
     obs_active_ = &reg->gauge("traffic/active_flows");
-    for (auto& tenant : tenants_) {
-      tenant->obs_arrivals =
-          &reg->counter("traffic/arrivals." + tenant->spec.name);
+    for (const auto& tenant : tenants_) {
+      reg->read_counter("traffic/arrivals." + tenant->spec.name,
+                        [t = tenant.get()] { return t->arrivals; });
     }
   }
-}
-
-std::uint64_t TrafficEngine::mmpp_transitions() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& tenant : tenants_) {
-    if (tenant->mmpp) n += tenant->mmpp->transitions();
-  }
-  return n;
 }
 
 void TrafficEngine::start() {
@@ -156,7 +151,7 @@ void TrafficEngine::tenant_arrival(std::size_t tenant) {
     dst = hosts_[d];
   }
   const std::uint64_t size = sample_size(*t.sizes, t.rng);
-  if (t.obs_arrivals != nullptr) t.obs_arrivals->inc();
+  ++t.arrivals;
   launch(*src, *dst, static_cast<std::uint32_t>(tenant), size, t.spec.dscp);
   schedule_tenant(tenant);
 }
@@ -172,7 +167,6 @@ void TrafficEngine::schedule_replay(std::size_t index) {
 void TrafficEngine::replay_arrival(std::size_t index) {
   const ReplayFlow& f = replay_[index];
   ++replayed_;
-  if (obs_replayed_ != nullptr) obs_replayed_->inc();
   launch(*hosts_[f.src], *hosts_[f.dst], f.service, f.size, f.dscp);
   schedule_replay(index + 1);
 }
@@ -187,11 +181,7 @@ void TrafficEngine::launch(net::Host& src, net::Host& dst,
     spec.ack_dscp = dscp;
   }
 
-  const std::uint64_t reuses_before = slab_->reuses();
   const std::uint32_t slot = slab_->acquire();
-  if (obs_slab_reuses_ != nullptr && slab_->reuses() != reuses_before) {
-    obs_slab_reuses_->inc();
-  }
   FlowSlab::Slot& s = slab_->at(slot);
   s.flow_id = next_flow_id();
   s.size = size;
@@ -203,18 +193,20 @@ void TrafficEngine::launch(net::Host& src, net::Host& dst,
   s.sink.emplace(dst, s.dport, spec.ack_dscp, std::move(spec.on_deliver),
                  transport::TcpSink::Options::from(spec.tcp));
   s.sender.emplace(src, dst.address(), s.sport, s.dport, s.flow_id, spec.tcp,
-                   std::move(spec.data_dscp), spec.ack_dscp,
-                   [this, slot](sim::Time fct) { on_flow_complete(slot, fct); });
+                   std::move(spec.data_dscp), spec.ack_dscp);
 
   ++arrivals_;
   ++active_;
   active_peak_ = std::max(active_peak_, active_);
   offered_bytes_ += size;
-  if (obs_arrivals_ != nullptr) obs_arrivals_->inc();
-  if (obs_offered_bytes_ != nullptr) obs_offered_bytes_->inc(size);
   if (obs_active_ != nullptr) obs_active_->set(static_cast<double>(active_));
 
-  s.sender->start(size);
+  transport::TcpSender::MessageSpec msg;
+  msg.size = size;
+  msg.on_complete = [this, slot](sim::Time fct, std::uint32_t) {
+    on_flow_complete(slot, fct);
+  };
+  s.sender->enqueue_message(std::move(msg));
 }
 
 void TrafficEngine::on_flow_complete(std::uint32_t slot, sim::Time fct) {
@@ -230,8 +222,6 @@ void TrafficEngine::on_flow_complete(std::uint32_t slot, sim::Time fct) {
   ++completed_;
   --active_;
   achieved_bytes_ += s.size;
-  if (obs_completed_ != nullptr) obs_completed_->inc();
-  if (obs_achieved_bytes_ != nullptr) obs_achieved_bytes_->inc(s.size);
   if (obs_active_ != nullptr) obs_active_->set(static_cast<double>(active_));
 
   if (on_complete_) on_complete_(r);

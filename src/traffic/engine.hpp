@@ -84,7 +84,6 @@ class TrafficEngine {
   [[nodiscard]] std::uint64_t achieved_bytes() const noexcept {
     return achieved_bytes_;
   }
-  [[nodiscard]] std::uint64_t mmpp_transitions() const noexcept;
 
  private:
   struct Tenant {
@@ -93,7 +92,7 @@ class TrafficEngine {
     sim::Rng rng;
     std::optional<PoissonArrivals> poisson;
     std::optional<MmppArrivals> mmpp;
-    obs::Counter* obs_arrivals = nullptr;
+    std::uint64_t arrivals = 0;
 
     explicit Tenant(std::uint64_t seed) : rng(seed) {}
   };
@@ -128,13 +127,7 @@ class TrafficEngine {
   std::uint64_t offered_bytes_ = 0;
   std::uint64_t achieved_bytes_ = 0;
 
-  // Null when metrics collection is off -- the PR 4 zero-cost discipline.
-  obs::Counter* obs_arrivals_ = nullptr;
-  obs::Counter* obs_completed_ = nullptr;
-  obs::Counter* obs_replayed_ = nullptr;
-  obs::Counter* obs_offered_bytes_ = nullptr;
-  obs::Counter* obs_achieved_bytes_ = nullptr;
-  obs::Counter* obs_slab_reuses_ = nullptr;
+  // Null when metrics are off; the registry reads the counts above.
   obs::Gauge* obs_active_ = nullptr;
 };
 

@@ -19,7 +19,7 @@ ConnectionPool::Connection& ConnectionPool::idle_connection(
   conn->sender = std::make_unique<TcpSender>(
       src, dst.address(), sport, dport,
       /*flow_id=*/0x10000000ULL + connections_created_, spec.tcp,
-      /*data_dscp=*/nullptr, spec.ack_dscp, /*on_complete=*/nullptr);
+      /*data_dscp=*/nullptr, spec.ack_dscp);
   ++connections_created_;
   list.push_back(std::move(conn));
   return *list.back();

@@ -90,7 +90,6 @@ class DcqcnSender {
 
   [[nodiscard]] double rate_bps() const noexcept { return rc_; }
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t cnps_received() const noexcept { return cnps_; }
 
  private:

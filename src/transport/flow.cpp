@@ -15,29 +15,26 @@ std::uint64_t FlowManager::start_flow(net::Host& src, net::Host& dst,
                                           std::move(spec.on_deliver),
                                           TcpSink::Options::from(spec.tcp));
 
-  const std::uint64_t size = spec.size;
-  const std::uint32_t service = spec.service;
   entry->sender = std::make_unique<TcpSender>(
       src, dst.address(), sport, dport, id, spec.tcp,
-      std::move(spec.data_dscp), spec.ack_dscp,
-      [this, id, size, service,
-       flow_cb = std::move(spec.on_complete)](sim::Time fct) {
-        const Entry& e = *flows_[id - 1];
-        FlowResult r;
-        r.flow_id = id;
-        r.size = size;
-        r.service = service;
-        r.start = e.sender->start_time();
-        r.fct = fct;
-        r.timeouts = e.sender->timeouts();
-        results_.push_back(r);
-        if (on_complete_) on_complete_(r);
-        if (flow_cb) flow_cb(r);
-      });
+      std::move(spec.data_dscp), spec.ack_dscp);
+
+  TcpSender::MessageSpec msg;
+  msg.size = spec.size;
+  msg.on_complete = [this, id, size = spec.size, service = spec.service,
+                     start = src.simulator().now(),
+                     flow_cb = std::move(spec.on_complete)](
+                        sim::Time fct, std::uint32_t timeouts) {
+    const FlowResult r{.flow_id = id, .size = size, .service = service,
+                       .start = start, .fct = fct, .timeouts = timeouts};
+    results_.push_back(r);
+    if (on_complete_) on_complete_(r);
+    if (flow_cb) flow_cb(r);
+  };
 
   flows_.push_back(std::move(entry));
   ++flows_started_;
-  flows_.back()->sender->start(size);
+  flows_.back()->sender->enqueue_message(std::move(msg));
   return id;
 }
 

@@ -8,8 +8,7 @@ namespace tcn::transport {
 
 TcpSender::TcpSender(net::Host& host, std::uint32_t dst, std::uint16_t sport,
                      std::uint16_t dport, std::uint64_t flow_id, TcpConfig cfg,
-                     DscpFn data_dscp, std::uint8_t ack_dscp,
-                     CompletionCb on_complete)
+                     DscpFn data_dscp, std::uint8_t ack_dscp)
     : host_(host),
       sim_(host.simulator()),
       dst_(dst),
@@ -19,7 +18,6 @@ TcpSender::TcpSender(net::Host& host, std::uint32_t dst, std::uint16_t sport,
       cfg_(cfg),
       default_dscp_(std::move(data_dscp)),
       ack_dscp_(ack_dscp),
-      legacy_complete_(std::move(on_complete)),
       rto_(cfg.rto_init) {
   if (!default_dscp_) default_dscp_ = constant_dscp(0);
   host_.bind(sport_, [this](net::PacketPtr p) { on_ack(std::move(p)); });
@@ -34,17 +32,6 @@ TcpSender::TcpSender(net::Host& host, std::uint32_t dst, std::uint16_t sport,
 TcpSender::~TcpSender() {
   if (timer_event_ != sim::kInvalidEvent) sim_.cancel(timer_event_);
   host_.unbind(sport_);
-}
-
-void TcpSender::start(std::uint64_t size) {
-  if (legacy_started_) throw std::logic_error("TcpSender::start called twice");
-  legacy_started_ = true;
-  MessageSpec msg;
-  msg.size = size;
-  msg.on_complete = [this](sim::Time fct, std::uint32_t) {
-    if (legacy_complete_) legacy_complete_(fct);
-  };
-  enqueue_message(std::move(msg));
 }
 
 void TcpSender::enqueue_message(MessageSpec msg) {

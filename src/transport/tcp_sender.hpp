@@ -6,7 +6,7 @@
 // messages are enqueued onto the stream, each with its own per-offset DSCP
 // function (PIAS tags offsets within the *message*) and completion callback.
 // A single-message connection is the classic ns-2 "FTP over TCP" flow model
-// used by FlowManager.
+// used by FlowManager and the open-loop TrafficEngine.
 //
 // Implemented machinery:
 //   - slow start / congestion avoidance (byte-counting), with Linux-style
@@ -37,8 +37,6 @@ class TcpSender {
   /// cumulatively acked; fct includes any wait behind earlier messages on
   /// the same connection.
   using MessageCb = std::function<void(sim::Time fct, std::uint32_t timeouts)>;
-  /// Legacy single-flow completion callback (FlowManager).
-  using CompletionCb = std::function<void(sim::Time fct)>;
 
   struct MessageSpec {
     std::uint64_t size = 0;
@@ -50,19 +48,15 @@ class TcpSender {
 
   TcpSender(net::Host& host, std::uint32_t dst, std::uint16_t sport,
             std::uint16_t dport, std::uint64_t flow_id, TcpConfig cfg,
-            DscpFn data_dscp, std::uint8_t ack_dscp, CompletionCb on_complete);
+            DscpFn data_dscp, std::uint8_t ack_dscp);
   ~TcpSender();
 
   TcpSender(const TcpSender&) = delete;
   TcpSender& operator=(const TcpSender&) = delete;
 
-  /// Legacy API: transfer `size` bytes as the connection's only message and
-  /// fire the constructor's completion callback. Callable once.
-  void start(std::uint64_t size);
-
-  /// Append a message to the stream (persistent-connection API). The first
-  /// message opens the congestion window; later messages reuse it (with
-  /// restart-after-idle if the connection sat quiet longer than the RTO).
+  /// Append a message to the stream. The first message opens the
+  /// congestion window; later messages reuse it (with restart-after-idle if
+  /// the connection sat quiet longer than the RTO).
   void enqueue_message(MessageSpec msg);
 
   [[nodiscard]] bool completed() const noexcept {
@@ -74,7 +68,6 @@ class TcpSender {
   [[nodiscard]] std::uint32_t timeouts() const noexcept { return timeouts_; }
   [[nodiscard]] double cwnd_bytes() const noexcept { return cwnd_; }
   [[nodiscard]] double dctcp_alpha() const noexcept { return alpha_; }
-  [[nodiscard]] std::uint64_t flow_id() const noexcept { return flow_id_; }
   [[nodiscard]] std::uint64_t size() const noexcept { return stream_end_; }
   [[nodiscard]] sim::Time start_time() const noexcept { return start_time_; }
   [[nodiscard]] std::uint64_t bytes_acked() const noexcept { return snd_una_; }
@@ -116,8 +109,6 @@ class TcpSender {
   TcpConfig cfg_;
   DscpFn default_dscp_;
   std::uint8_t ack_dscp_;
-  CompletionCb legacy_complete_;
-  bool legacy_started_ = false;
 
   sim::Fifo<Message> messages_;   // pending (not fully acked)
   std::uint64_t stream_end_ = 0;  // total bytes ever enqueued

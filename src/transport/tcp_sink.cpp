@@ -58,8 +58,6 @@ void TcpSink::flush_delayed() {
 
 void TcpSink::on_data(net::PacketPtr p) {
   if (p->type != net::PacketType::kData) return;
-  ++packets_;
-  if (p->ce()) ++ce_;
   peer_addr_ = p->src;
   peer_port_ = p->sport;
   flow_ = p->flow;

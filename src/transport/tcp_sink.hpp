@@ -44,11 +44,7 @@ class TcpSink {
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept {
     return rcv_nxt_;
   }
-  [[nodiscard]] std::uint64_t packets_received() const noexcept {
-    return packets_;
-  }
   [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_; }
-  [[nodiscard]] std::uint64_t ce_received() const noexcept { return ce_; }
 
  private:
   void on_data(net::PacketPtr p);
@@ -63,9 +59,7 @@ class TcpSink {
 
   std::uint64_t rcv_nxt_ = 0;
   std::map<std::uint64_t, std::uint64_t> ooo_;  // seq -> end (out of order)
-  std::uint64_t packets_ = 0;
   std::uint64_t acks_ = 0;
-  std::uint64_t ce_ = 0;
 
   // Peer identity learned from the first data packet (used for ACKs sent
   // from the delayed-ACK timer, where no packet is in hand).

@@ -48,7 +48,6 @@ class IncastGenerator {
 
   void start();
 
-  [[nodiscard]] std::size_t queries_issued() const noexcept { return issued_; }
   [[nodiscard]] const std::vector<QueryResult>& results() const noexcept {
     return results_;
   }

@@ -52,7 +52,7 @@ struct Rig {
     const auto dport = b->allocate_port();
     sink = std::make_unique<TcpSink>(*b, dport, 0);
     return std::make_unique<TcpSender>(*a, 2, sport, dport, 1, cfg,
-                                       nullptr, 0, nullptr);
+                                       nullptr, 0);
   }
 
   sim::Simulator sim;

@@ -452,7 +452,7 @@ TEST(FileFuzz, JournalLinesParseOrNameTheFileAndLine) {
   ASSERT_NE(journal.find("\"stability\""), std::string::npos);
 
   const std::string path = ::testing::TempDir() + "fuzz_journal.jsonl";
-  const Tally tally = fuzz_file_grammar<std::runtime_error>(
+  const Tally tally = fuzz_file_grammar<std::invalid_argument>(
       0x5eed'10a1ULL, {journal},
       [&](const std::string& text) {
         write_file(path, text);

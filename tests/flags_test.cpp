@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -196,14 +197,19 @@ TEST(SweepFlags, ResumeLoadsTheJournalAndExtendsItInPlace) {
       "flags", journal);
   EXPECT_EQ(elsewhere.journal_out, path + ".2");
 
+  // A journal that cannot be read is a failed file read, not a rejected
+  // input.
   try {
     runner::sweep_options(parse_bench({"--resume", path + ".missing"}).sweep,
                           "flags", journal);
     ADD_FAILURE() << "a missing journal was accepted";
   } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "a missing journal was rejected as input: " << e.what();
+  } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos)
         << e.what();
   }
+  std::remove(path.c_str());
 }
 
 TEST(SweepFlags, TcnsimParsesExperimentAndSweepFlagsInOneTable) {
@@ -492,6 +498,9 @@ TEST(Binaries, SweepBenchesFailWhenAResultWriteFails) {
       {TCNSIM_BIN, {"--flows", "5", "--loads", "0.5,0.7", "--journal",
                     "/dev/full"},
        "tcnsim: write failed on journal '/dev/full'"},
+      // A journal that cannot be read is a failed read too; it exited 2.
+      {TCNSIM_BIN, with({"--resume", "/nonexistent.jsonl"}),
+       "tcnsim: --resume: cannot open journal '/nonexistent.jsonl'"},
       {ATLAS_BIN,
        {"--flows", "20", "--thresholds-us", "256", "--loads", "0.5",
         "--buffers", "96000", "--schemes", "tcn", "--scheds", "dwrr",
@@ -530,6 +539,38 @@ TEST(Binaries, SweepFrontEndsExitOneWhenARunFails) {
     EXPECT_NE(e.output.find(c.names), std::string::npos)
         << c.binary << ": " << e.output;
   }
+}
+
+// --resume of a journal that another configuration wrote, or of a corrupt
+// one, exits 2 naming the journal: resumed as ECN*, a DCTCP sweep's
+// journal restored the DCTCP results and exited 0.
+TEST(Binaries, ResumeOfAForeignOrCorruptJournalExitsTwo) {
+  const Argv sweep = {"--flows", "20", "--loads", "0.5,0.7"};
+  const auto with = [&](Argv extra) {
+    extra.insert(extra.begin(), sweep.begin(), sweep.end());
+    return extra;
+  };
+  const std::string path = ::testing::TempDir() + "flags_rejected.jsonl";
+  ASSERT_EQ(run(TCNSIM_BIN, with({"--journal", path}), false).status, 0);
+  const Exit foreign =
+      run(TCNSIM_BIN, with({"--transport", "ecnstar", "--resume", path}),
+          /*keep_stdout=*/false);
+  EXPECT_EQ(foreign.status, 2) << foreign.output;
+  EXPECT_NE(foreign.output.find("resume journal '" + path +
+                                "' was written by a different sweep"),
+            std::string::npos)
+      << foreign.output;
+
+  {
+    std::ofstream(path) << "not a journal\n";
+  }
+  const Exit corrupt =
+      run(TCNSIM_BIN, with({"--resume", path}), /*keep_stdout=*/false);
+  EXPECT_EQ(corrupt.status, 2) << corrupt.output;
+  EXPECT_NE(corrupt.output.find("journal '" + path + "' line 1"),
+            std::string::npos)
+      << corrupt.output;
+  std::remove(path.c_str());
 }
 
 // A --figure run wrote BENCH_suite.json by default, so regenerating one

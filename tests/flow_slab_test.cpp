@@ -113,7 +113,7 @@ TEST(FlowSlab, RecycleClearsSlotState) {
   slot.dport = slab.checkout_port(dst);
   slot.sink.emplace(dst, slot.dport, 0);
   slot.sender.emplace(src, dst.address(), slot.sport, slot.dport, 42, tcp,
-                      transport::constant_dscp(0), 0, nullptr);
+                      transport::constant_dscp(0), 0);
   slab.recycle(idx);
 
   const auto again = slab.acquire();
@@ -214,8 +214,7 @@ TEST(FlowSlab, SteadyStateChurnKeepsLiveHeapFlat) {
       slot.dport = slab.checkout_port(dst);
       slot.sink.emplace(dst, slot.dport, 0);
       slot.sender.emplace(src, dst.address(), slot.sport, slot.dport,
-                          slot.flow_id, tcp, transport::constant_dscp(0), 0,
-                          nullptr);
+                          slot.flow_id, tcp, transport::constant_dscp(0), 0);
       held.push_back(idx);
     }
     for (const auto idx : held) slab.recycle(idx);

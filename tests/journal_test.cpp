@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,7 @@
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
 #include "sim/time.hpp"
+#include "tcnsim_args.hpp"
 #include "topo/network.hpp"
 
 namespace tcn {
@@ -185,6 +188,80 @@ TEST(Journal, JobsDigestIsStableAndSensitive) {
   auto faulted = small_spec();
   faulted.faults = {{"none", {}}};
   EXPECT_NE(runner::jobs_digest(faulted.expand()), runner::jobs_digest(jobs));
+
+  // Every tcnsim flag that changes a run changes the digest, so --resume of
+  // a journal that another configuration wrote is rejected: resumed with
+  // --transport ecnstar, a DCTCP sweep's journal used to restore the DCTCP
+  // results. The sweep rows change the job list instead, and output paths
+  // change nothing.
+  using Argv = std::vector<std::string>;
+  const auto digest = [](const Argv& args) {
+    runner::Job job;
+    job.cfg = tools::parse_tcnsim_args(args).cfg;
+    return runner::jobs_digest({job});
+  };
+  // One non-default value per flag. --persistent-connections is the star's
+  // default, so it is varied on the leaf-spine.
+  const std::map<std::string, Argv> hashed_values = {
+      {"--topology", {"leafspine"}},
+      {"--hosts", {"5"}},
+      {"--scheme", {"red"}},
+      {"--sched", {"wfq"}},
+      {"--rtt-lambda-us", {"100"}},
+      {"--red-k-bytes", {"1000"}},
+      {"--load", {"0.5"}},
+      {"--flows", {"20"}},
+      {"--services", {"2"}},
+      {"--workload", {"cache"}},
+      {"--pias", {}},
+      {"--traffic", {"poisson:web:websearch:1"}},
+      {"--time-limit-s", {"10"}},
+      {"--per-flow-connections", {}},
+      {"--persistent-connections", {}},
+      {"--transport", {"ecnstar"}},
+      {"--sack", {}},
+      {"--delayed-ack", {}},
+      {"--rto-min-us", {"5000"}},
+      {"--faults", {"loss:sw0.p0:0.01"}},
+      {"--check-invariants", {}},
+      {"--fail-on-invariant", {}},
+      {"--wall-budget-ms", {"1000"}},
+      {"--event-budget", {"1000"}},
+      {"--sim-time-budget-s", {"1"}},
+      {"--pending-budget", {"1000"}},
+      {"--metrics-out", {"m.json"}},
+      {"--sample-interval-us", {"100"}},
+      {"--sample-ring", {"16"}},
+      {"--seed", {"2"}},
+  };
+  const std::map<std::string, Argv> output_paths = {
+      {"--trace-out", {"t.jsonl"}},
+      {"--series-out", {"s.jsonl"}},
+  };
+  const std::set<std::string> sweep_rows = {
+      "--jobs",    "--json",  "--on-failure", "--journal",      "--resume",
+      "--loads",   "--seeds", "--fault-grid", "--traffic-grid",
+  };
+  tools::TcnsimArgs table_args;
+  for (const runner::Flag& f : tools::tcnsim_flags(table_args)) {
+    if (f.name.empty() || sweep_rows.count(f.name) != 0) continue;
+    const bool hashed = hashed_values.count(f.name) != 0;
+    ASSERT_TRUE(hashed || output_paths.count(f.name) != 0)
+        << f.name << " has no digest case";
+    const Argv base = f.name == "--persistent-connections"
+                          ? Argv{"--topology", "leafspine"}
+                          : Argv{};
+    Argv args = base;
+    args.push_back(f.name);
+    const Argv& value =
+        hashed ? hashed_values.at(f.name) : output_paths.at(f.name);
+    args.insert(args.end(), value.begin(), value.end());
+    if (hashed) {
+      EXPECT_NE(digest(args), digest(base)) << f.name;
+    } else {
+      EXPECT_EQ(digest(args), digest(base)) << f.name;
+    }
+  }
 }
 
 // ----------------------------------------------------- write/load cycles ----
@@ -360,13 +437,15 @@ TEST(Journal, CorruptionBeforeTheTailThrows) {
   opt.journal_name = spec.name;
   ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
 
+  // Rejected content is an invalid argument (exit 2); a file that cannot
+  // be read is a runtime error (exit 1).
   auto text = slurp(path);
   text[text.find("\"index\"")] = '#';  // clobber the first record line
   spit(path, text);
-  EXPECT_THROW(runner::load_journal(path), std::runtime_error);
+  EXPECT_THROW(runner::load_journal(path), std::invalid_argument);
 
   spit(path, "not a journal\n");
-  EXPECT_THROW(runner::load_journal(path), std::runtime_error);
+  EXPECT_THROW(runner::load_journal(path), std::invalid_argument);
   EXPECT_THROW(runner::load_journal(temp_path("no_such_journal.jsonl")),
                std::runtime_error);
   std::remove(path.c_str());
@@ -387,7 +466,7 @@ TEST(Journal, DeeplyNestedLineBeforeTheTailIsCorrupt) {
   try {
     (void)runner::load_journal(path);
     ADD_FAILURE() << "a journal with a 100,000-deep line loaded";
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
@@ -419,7 +498,7 @@ TEST(Journal, UnknownStabilityRegimeIsCorrupt) {
   try {
     (void)runner::load_journal(path);
     ADD_FAILURE() << "a journal with regime \"garbage\" loaded";
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
     EXPECT_NE(what.find("stability.regime"), std::string::npos) << what;
@@ -469,7 +548,7 @@ TEST(Journal, CompleteTailLineWithABadFieldIsCorrupt) {
   try {
     const auto data = runner::load_journal(path);
     ADD_FAILURE() << "loaded, torn_tail=" << data.torn_tail;
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("line 5:"), std::string::npos) << what;
   }
@@ -521,7 +600,7 @@ TEST(Journal, OldJournalWithoutNewerCountersResumes) {
 
   for (const std::size_t from : {std::size_t{0}, last_line_start(full)}) {
     spit(path, strip_key(full, "switch_marks", from));
-    EXPECT_THROW(runner::load_journal(path), std::runtime_error) << from;
+    EXPECT_THROW(runner::load_journal(path), std::invalid_argument) << from;
   }
   std::remove(path.c_str());
 }

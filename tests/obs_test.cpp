@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,35 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableAddresses) {
   a->inc(3);
   EXPECT_EQ(reg.counter("x").value(), 3u);
   EXPECT_EQ(reg.size(), 3u);
+}
+
+TEST(MetricsRegistry, ReadCountersSumTheirReadsAtSnapshotTime) {
+  MetricsRegistry reg;
+  std::uint64_t web_a = 0;
+  std::uint64_t web_b = 0;
+  reg.read_counter("arrivals.web", [&] { return web_a; });
+  reg.read_counter("arrivals.web", [&] { return web_b; });  // same name
+  reg.counter("counted").inc(2);
+  web_a = 3;
+  web_b = 4;
+  EXPECT_EQ(reg.size(), 2u);
+  auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "arrivals.web");
+  EXPECT_EQ(snap.counters[0].value, 7u);
+  EXPECT_EQ(snap.counters[1].name, "counted");
+  EXPECT_EQ(snap.counters[1].value, 2u);
+  web_a = 10;  // a later snapshot reads the count as it is then
+  EXPECT_EQ(reg.snapshot().counters[0].value, 14u);
+}
+
+TEST(MetricsRegistry, ANameIsCountedOrReadNeverBoth) {
+  MetricsRegistry reg;
+  reg.counter("counted");
+  EXPECT_THROW(reg.read_counter("counted", [] { return 0ULL; }),
+               std::logic_error);
+  reg.read_counter("read", [] { return 0ULL; });
+  EXPECT_THROW(reg.counter("read"), std::logic_error);
 }
 
 TEST(MetricsRegistry, SnapshotIsNameSorted) {

@@ -2,18 +2,21 @@
 //
 // This binary overrides global operator new/delete with counting wrappers
 // so the central claim of the zero-allocation refactor -- steady-state
-// event scheduling, packet churn and the port pipeline perform no heap
-// allocations at all -- is asserted directly, not inferred from
-// throughput. The override is per-binary, which is why these tests live in
+// event scheduling, packet churn, the port pipeline and the trace writer
+// perform no heap allocations at all -- is asserted directly, not inferred
+// from throughput. The override is per-binary, which is why these tests live in
 // their own test target.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <new>
+#include <ostream>
 #include <set>
 #include <stdexcept>
+#include <streambuf>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "net/port.hpp"
+#include "net/trace.hpp"
+#include "obs/export.hpp"
 #include "sched/dwrr.hpp"
 #include "sim/fifo.hpp"
 #include "sim/random.hpp"
@@ -362,6 +367,40 @@ TEST(HotPath, SteadyStatePortPipelineIsAllocationFree) {
     EXPECT_EQ(port.queue_counters(q).tx_packets, 5'000u);
   }
   EXPECT_GT(port.counters().marks, 0u);
+}
+
+/// A stream buffer that discards what it is given and allocates nothing.
+class DiscardBuf final : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+};
+
+TEST(HotPath, TraceWriterFormatsEachRecordWithoutAllocating) {
+  DiscardBuf discard;
+  std::ostream out(&discard);
+  obs::JsonlTraceWriter writer(out);
+  net::TraceRecord rec;
+  rec.event = net::TraceEvent::kDequeue;
+  rec.port = "a-port-name-past-the-short-string-buffer";
+  rec.t = 600 * sim::kSecond;
+  rec.flow = std::numeric_limits<std::uint64_t>::max();
+  rec.seq = std::numeric_limits<std::uint64_t>::max();
+  rec.size = 1500;
+  rec.queue_bytes = 300'000;
+  rec.port_bytes = 300'000;
+  rec.sojourn = sim::kSecond;
+  writer.on_event(rec);  // warmup: the line grows to the longest record
+
+  const std::uint64_t allocs_before = allocs();
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    rec.seq = i;
+    rec.queue = i % 8;
+    rec.t += sim::kMicrosecond;
+    writer.on_event(rec);
+  }
+  EXPECT_EQ(allocs() - allocs_before, 0u);
+  EXPECT_EQ(writer.records_written(), 1001u);
 }
 
 // -------------------------------------------------------------- sim::Fifo ----

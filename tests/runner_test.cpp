@@ -40,8 +40,12 @@ TEST(Json, FormatDoubleShortestRoundTrip) {
 }
 
 TEST(Json, EscapesControlCharsAndQuotes) {
-  EXPECT_EQ(obs::escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(obs::escape_json(std::string("\x01", 1)), "\\u0001");
+  std::string out = "k=";  // appends to what the string holds
+  obs::append_escaped_json(out, "a\"b\\c\nd");
+  EXPECT_EQ(out, "k=a\\\"b\\\\c\\nd");
+  out.clear();
+  obs::append_escaped_json(out, std::string("\x01", 1));
+  EXPECT_EQ(out, "\\u0001");
 }
 
 TEST(Json, WriterProducesNestedDocument) {

@@ -268,14 +268,6 @@ TEST(TcpLoss, TimeoutCountIsReported) {
   EXPECT_EQ(rig.fm.results()[0].timeouts, rig.fm.total_timeouts());
 }
 
-TEST(TcpConfigTest, StartTwiceThrows) {
-  TwoHostRig rig;
-  FlowSpec spec;
-  spec.size = 1000;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
-  EXPECT_THROW(rig.fm.sender(id)->start(1), std::logic_error);
-}
-
 TEST(Pias, TwoPriorityTagging) {
   const auto fn = pias::two_priority(0, 3, 100'000);
   EXPECT_EQ(fn(0), 0);
