@@ -23,7 +23,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/cli.hpp"
+#include "core/experiment.hpp"
+#include "core/schemes.hpp"
 #include "obs/export.hpp"
 
 namespace tcn::bench {
@@ -89,13 +90,12 @@ inline runner::FlagTable atlas_flags(AtlasArgs& a) {
   };
   runner::FlagTable table;
   table.push_back({"--schemes", "s1,s2,...",
-                   "AQMs: tcn tcn-prob codel mq-ecn red red-port\n"
-                   "red-dequeue pie ideal-rate none\n"
-                   "(default tcn,codel,red,pie)",
+                   "AQMs: " + core::scheme_cli_names(" ") +
+                       "\n(default tcn,codel,red,pie)",
                    runner::list_setter(a.axes.schemes, scheme)});
   table.push_back({"--scheds", "s1,s2,...",
-                   "schedulers: fifo sp dwrr wrr wfq sp-dwrr sp-wfq\n"
-                   "pifo sp-pifo aifo (default dwrr,wfq,sp-pifo,aifo)",
+                   "schedulers: " + core::sched_cli_names(" ") +
+                       "\n(default dwrr,wfq,sp-pifo,aifo)",
                    runner::list_setter(a.axes.scheds, sched)});
   table.push_back({"--thresholds-us", "t1,t2,...",
                    "marking threshold axis T in us; every AQM gets\n"

@@ -7,39 +7,6 @@
 
 namespace tcn::core {
 
-Scheme parse_scheme(const std::string& name) {
-  if (name == "tcn") return Scheme::kTcn;
-  if (name == "tcn-prob") return Scheme::kTcnProb;
-  if (name == "codel") return Scheme::kCodel;
-  if (name == "mq-ecn") return Scheme::kMqEcn;
-  if (name == "red") return Scheme::kRedPerQueue;
-  if (name == "red-port") return Scheme::kRedPerPort;
-  if (name == "red-dequeue") return Scheme::kRedDequeue;
-  if (name == "pie") return Scheme::kPie;
-  if (name == "ideal-rate") return Scheme::kIdealRate;
-  if (name == "none") return Scheme::kNone;
-  throw std::invalid_argument(
-      "unknown scheme '" + name +
-      "' (tcn, tcn-prob, codel, mq-ecn, red, red-port, red-dequeue, pie, "
-      "ideal-rate, none)");
-}
-
-SchedKind parse_sched(const std::string& name) {
-  if (name == "fifo") return SchedKind::kFifo;
-  if (name == "sp") return SchedKind::kSp;
-  if (name == "dwrr") return SchedKind::kDwrr;
-  if (name == "wrr") return SchedKind::kWrr;
-  if (name == "wfq") return SchedKind::kWfq;
-  if (name == "sp-dwrr") return SchedKind::kSpDwrr;
-  if (name == "sp-wfq") return SchedKind::kSpWfq;
-  if (name == "pifo") return SchedKind::kPifoStfq;
-  if (name == "sp-pifo") return SchedKind::kSpPifo;
-  if (name == "aifo") return SchedKind::kAifo;
-  throw std::invalid_argument(
-      "unknown scheduler '" + name +
-      "' (fifo, sp, dwrr, wrr, wfq, sp-dwrr, sp-wfq, pifo, sp-pifo, aifo)");
-}
-
 void parse_sched_spec(const std::string& spec, SchedConfig& sched) {
   const std::size_t colon = spec.find(':');
   try {

@@ -1,10 +1,16 @@
-// Factories mapping (scheme, scheduler) enums onto concrete marker and
-// scheduler instances -- the configuration surface every bench and example
-// drives.
+// The one list of the marking schemes and packet schedulers, the
+// configuration surface every bench, example and tool drives. One row per
+// enum value holds its flag name, its report name and the code that builds
+// it; the factories, the name functions, the flag parsers and the flag help
+// all read the rows. Adding a scheme or scheduler takes its own files, one
+// enum value and one row in schemes.cpp.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "topo/network.hpp"
@@ -83,6 +89,34 @@ struct SchemeParams {
   std::uint64_t seed = 1;
 };
 
+/// One scheme: core/schemes.cpp holds a row for each Scheme value.
+struct SchemeRow {
+  Scheme kind;
+  std::string_view cli;      ///< --scheme name; empty when no flag selects it
+  std::string_view display;  ///< scheme_name(): reports and result documents
+  /// The marker of one port, built from the scheme's parameters, the port's
+  /// scheduler and its config.
+  std::unique_ptr<net::Marker> (*make)(const SchemeParams&, net::Scheduler&,
+                                       const net::PortConfig&);
+};
+
+/// One scheduler: core/schemes.cpp holds a row for each SchedKind value.
+struct SchedRow {
+  SchedKind kind;
+  std::string_view cli;  ///< --sched name
+  /// The parameters --sched takes after the name, as its help shows them
+  /// ("[:levels]"); parse_sched_spec parses them.
+  std::string_view params;
+  std::string_view display;  ///< sched_name(): reports and result documents
+  std::unique_ptr<net::Scheduler> (*make)(const SchedConfig&);
+  /// Rejects a config `make` cannot build (std::invalid_argument) before
+  /// any port exists; null when every config builds.
+  void (*check)(const SchedConfig&) = nullptr;
+};
+
+std::span<const SchemeRow> scheme_rows();
+std::span<const SchedRow> sched_rows();
+
 /// Scheduler factory for switch ports. Throws std::invalid_argument on
 /// nonsensical configs (e.g. hybrid with num_sp >= num_queues).
 topo::SchedulerFactory make_scheduler_factory(const SchedConfig& cfg);
@@ -95,5 +129,15 @@ topo::MarkerFactory make_marker_factory(Scheme scheme,
 
 std::string scheme_name(Scheme s);
 std::string sched_name(SchedKind k);
+
+/// The scheme or scheduler a flag name selects; throws std::invalid_argument
+/// listing the names.
+Scheme parse_scheme(const std::string& name);
+SchedKind parse_sched(const std::string& name);
+
+/// The flag names in row order, joined by `sep`; `with_params` follows each
+/// scheduler's name with its parameters ("sp-pifo[:levels]").
+std::string scheme_cli_names(std::string_view sep);
+std::string sched_cli_names(std::string_view sep, bool with_params = false);
 
 }  // namespace tcn::core

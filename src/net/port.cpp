@@ -2,59 +2,11 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <type_traits>
-#include <typeinfo>
 #include <utility>
-#include <variant>
 
-// Closed-world upcall (see net/dispatch.hpp): the concrete scheduler and
-// marker headers are pulled in HERE -- in the .cpp only, never in a net/
-// interface header -- so std::visit below sees complete final classes and
-// compiles each alternative down to a direct, inlinable call.
-#include "aqm/codel.hpp"
-#include "aqm/hw_tcn.hpp"
-#include "aqm/mq_ecn.hpp"
-#include "aqm/pie.hpp"
-#include "aqm/rate_estimator.hpp"
-#include "aqm/red_ecn.hpp"
-#include "aqm/red_prob.hpp"
-#include "aqm/tcn.hpp"
-#include "net/fifo_scheduler.hpp"
 #include "obs/timeseries.hpp"
-#include "sched/aifo.hpp"
-#include "sched/dwrr.hpp"
-#include "sched/pifo.hpp"
-#include "sched/sp_pifo.hpp"
-#include "sched/sp.hpp"
-#include "sched/sp_hybrid.hpp"
-#include "sched/wfq.hpp"
-#include "sched/wrr.hpp"
 
 namespace tcn::net {
-
-namespace {
-
-/// The alternative of `Variant` whose pointee is exactly the dynamic type of
-/// `obj`, or alternative 0 (the base pointer, i.e. the virtual path) when
-/// none is: decorators, test doubles and out-of-tree subclasses land there.
-/// Every other alternative must be final, so a typeid match is the only way
-/// an object can be of that class.
-template <typename Variant, std::size_t I = 1, typename Base>
-Variant resolve_variant(Base& obj) {
-  if constexpr (I == std::variant_size_v<Variant>) {
-    return Variant{std::in_place_index<0>, &obj};
-  } else {
-    using T = std::remove_pointer_t<std::variant_alternative_t<I, Variant>>;
-    static_assert(std::is_final_v<T>,
-                  "a static-dispatch alternative must be a final class");
-    if (typeid(obj) == typeid(T)) {
-      return Variant{std::in_place_index<I>, static_cast<T*>(&obj)};
-    }
-    return resolve_variant<Variant, I + 1>(obj);
-  }
-}
-
-}  // namespace
 
 Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
            std::unique_ptr<Scheduler> sched, std::unique_ptr<Marker> marker)
@@ -88,9 +40,6 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
         "Port: rate_bps * rate_limit_fraction rounds to zero");
   }
   sched_->bind(&queues_, effective_rate_bps_);
-  // Resolve the concrete types once; every hot call below visits these.
-  sched_v_ = resolve_variant<SchedulerVariant>(*sched_);
-  marker_v_ = resolve_variant<MarkerVariant>(*marker_);
   resolve_metrics();
   resolve_timeseries();
 }
@@ -191,12 +140,7 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
   // Scheduler admission control (e.g. AIFO): a rejection here is a
   // *scheduling* decision, accounted apart from buffer and fault drops, and
   // invisible to the marker (the packet never enters a queue).
-  const bool admitted = std::visit(
-      [&](auto* s) {
-        return s->admit(queue, *p, sim_.now(), total_bytes_, buffer_limit_);
-      },
-      sched_v_);
-  if (!admitted) {
+  if (!sched_->admit(queue, *p, sim_.now(), total_bytes_, buffer_limit_)) {
     ++c.sched_drops;
     c.sched_drop_bytes += p->size;
     if (observer_ != nullptr) emit(TraceEvent::kSchedDrop, *p, queue);
@@ -206,17 +150,14 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
 
   Packet& ref = *p;
   queues_[queue].push(std::move(p), sim_.now());
-  std::visit([&](auto* s) { s->on_enqueue(queue, ref, sim_.now()); },
-             sched_v_);
+  sched_->on_enqueue(queue, ref, sim_.now());
 
   const MarkContext ctx{.now = sim_.now(),
                         .queue = queue,
                         .queue_bytes = queues_[queue].bytes(),
                         .port_bytes = total_bytes_,
                         .link_rate_bps = effective_rate_bps_};
-  const bool mark_enq =
-      std::visit([&](auto* m) { return m->on_enqueue(ctx, ref); }, marker_v_);
-  if (mark_enq && ref.ect()) {
+  if (marker_->on_enqueue(ctx, ref) && ref.ect()) {
     ref.ecn = Ecn::kCe;
     ++c.marks;
     if (metrics_.marks_enqueue != nullptr) {
@@ -233,13 +174,12 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
 void Port::try_transmit() {
   if (busy_ || !link_up_ || total_bytes_ == 0) return;
 
-  const std::size_t q =
-      std::visit([&](auto* s) { return s->select(sim_.now()); }, sched_v_);
+  const std::size_t q = sched_->select(sim_.now());
   assert(q < queues_.size() && !queues_[q].empty());
 
   PacketPtr p = queues_[q].pop(sim_.now());
   total_bytes_ -= p->size;
-  std::visit([&](auto* s) { s->on_dequeue(q, *p, sim_.now()); }, sched_v_);
+  sched_->on_dequeue(q, *p, sim_.now());
 
   const MarkContext ctx{.now = sim_.now(),
                         .queue = q,
@@ -247,9 +187,7 @@ void Port::try_transmit() {
                         .port_bytes = total_bytes_,
                         .link_rate_bps = effective_rate_bps_};
   const sim::Time sojourn = sim_.now() - p->enqueue_ts;
-  const bool mark_deq =
-      std::visit([&](auto* m) { return m->on_dequeue(ctx, *p); }, marker_v_);
-  if (mark_deq && p->ect()) {
+  if (marker_->on_dequeue(ctx, *p) && p->ect()) {
     p->ecn = Ecn::kCe;
     ++queues_[q].counters().marks;
     if (metrics_.marks_dequeue != nullptr) {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "net/dispatch.hpp"
 #include "net/marker.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -142,11 +141,6 @@ class Port {
   std::uint64_t effective_rate_bps_;
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<Marker> marker_;
-  /// Concrete-type handles to *sched_/*marker_, resolved once at
-  /// construction (see port.cpp); the hot path dispatches through these
-  /// (std::visit over final classes = direct calls) instead of the vtable.
-  SchedulerVariant sched_v_;
-  MarkerVariant marker_v_;
   /// Each queue counts its own events; sampler channels and the metrics
   /// registry read those counts.
   std::vector<PacketQueue> queues_;

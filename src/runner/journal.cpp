@@ -160,21 +160,12 @@ RunRecord parse_run_record(const obs::JsonValue& line) {
   rec.report.switch_drops = c.at("switch_drops").as_u64();
   rec.report.switch_marks = c.at("switch_marks").as_u64();
   rec.report.fault_drops = c.at("fault_drops").as_u64();
-  // Newer than the journal format: default to 0 on pre-existing journals.
-  if (const obs::JsonValue* v = c.find("sched_drops")) {
-    rec.report.sched_drops = v->as_u64();
-  }
+  rec.report.sched_drops = c.at("sched_drops").as_u64();
   rec.report.pool_fresh = c.at("pool_fresh").as_u64();
   rec.report.pool_reused = c.at("pool_reused").as_u64();
   rec.report.pool_recycled = c.at("pool_recycled").as_u64();
-  // Engine telemetry keys are newer than the journal format; default to 0
-  // when resuming a journal written before they existed.
-  if (const obs::JsonValue* v = c.find("sim_peak_pending")) {
-    rec.report.sim_peak_pending = v->as_u64();
-  }
-  if (const obs::JsonValue* v = c.find("sim_calendar_resizes")) {
-    rec.report.sim_calendar_resizes = v->as_u64();
-  }
+  rec.report.sim_peak_pending = c.at("sim_peak_pending").as_u64();
+  rec.report.sim_calendar_resizes = c.at("sim_calendar_resizes").as_u64();
 
   if (const obs::JsonValue* tc = r.find("traffic_counters")) {
     rec.report.traffic_open_loop = true;
@@ -188,8 +179,7 @@ RunRecord parse_run_record(const obs::JsonValue& line) {
     rec.report.slab_recycled = tc->at("slab_recycled").as_u64();
   }
 
-  // Stability reduction: newer than the journal format and only present on
-  // sampled runs -- find-with-default keeps pre-existing journals loadable.
+  // Stability reduction: written only for sampled runs.
   if (const obs::JsonValue* st = r.find("stability")) {
     rec.report.stability_analyzed = true;
     rec.report.series_channels = st->at("channels").as_u64();

@@ -6,8 +6,12 @@
 //   - the harness runs every scheme/scheduler combination end to end
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/schemes.hpp"
@@ -30,15 +34,12 @@ TEST(Factories, SchedulerFactoryProducesFreshInstances) {
 }
 
 TEST(Factories, AllSchedulerKindsConstruct) {
-  for (const auto kind :
-       {SchedKind::kFifo, SchedKind::kSp, SchedKind::kDwrr, SchedKind::kWrr,
-        SchedKind::kWfq, SchedKind::kSpDwrr, SchedKind::kSpWfq,
-        SchedKind::kPifoStfq}) {
+  for (const SchedRow& row : sched_rows()) {
     SchedConfig cfg;
-    cfg.kind = kind;
+    cfg.kind = row.kind;
     cfg.num_queues = 4;
     cfg.num_sp = 1;
-    EXPECT_NE(make_scheduler_factory(cfg)(), nullptr) << sched_name(kind);
+    EXPECT_NE(make_scheduler_factory(cfg)(), nullptr) << row.display;
   }
 }
 
@@ -86,12 +87,75 @@ TEST(Factories, EverySchemeConstructsAMarker) {
   auto sched = make_scheduler_factory(dwrr)();
   net::PortConfig port;
   port.num_queues = 2;
-  for (const auto s :
-       {Scheme::kTcn, Scheme::kTcnProb, Scheme::kCodel, Scheme::kMqEcn,
-        Scheme::kRedPerQueue, Scheme::kRedPerPort, Scheme::kRedDequeue,
-        Scheme::kIdealRate, Scheme::kIdealOracle, Scheme::kNone}) {
-    EXPECT_NE(make_marker_factory(s, p)(*sched, port), nullptr)
-        << scheme_name(s);
+  for (const SchemeRow& row : scheme_rows()) {
+    EXPECT_NE(make_marker_factory(row.kind, p)(*sched, port), nullptr)
+        << row.display;
+  }
+}
+
+/// Each value of an enum whose last value is `last` has exactly one row.
+template <typename Row, typename Kind>
+void expect_one_row_per_value(std::span<const Row> rows, Kind last) {
+  const auto values = static_cast<std::size_t>(last) + 1;
+  EXPECT_EQ(rows.size(), values);
+  for (std::size_t v = 0; v < values; ++v) {
+    EXPECT_EQ(std::ranges::count(rows, static_cast<Kind>(v), &Row::kind), 1)
+        << v;
+  }
+}
+
+/// The names an unknown-name message lists: "... (a, b, c)".
+std::vector<std::string> listed_names(const std::string& message) {
+  const std::size_t open = message.rfind('(');
+  const std::string list = message.substr(open + 1, message.size() - open - 2);
+  std::vector<std::string> names;
+  for (std::size_t at = 0; at <= list.size();) {
+    const std::size_t comma = std::min(list.find(", ", at), list.size());
+    names.push_back(list.substr(at, comma - at));
+    at = comma + 2;
+  }
+  return names;
+}
+
+// core/schemes is the one list of the zoo: every parser, name and factory
+// reads its rows.
+TEST(SchemeRows, EveryValueHasOneRowThatParsesAndNamesIt) {
+  expect_one_row_per_value(scheme_rows(), Scheme::kNone);
+  expect_one_row_per_value(sched_rows(), SchedKind::kAifo);
+
+  std::vector<std::string> scheme_flags;
+  for (const SchemeRow& row : scheme_rows()) {
+    EXPECT_EQ(scheme_name(row.kind), row.display);
+    if (row.cli.empty()) continue;  // no flag selects it
+    scheme_flags.emplace_back(row.cli);
+    EXPECT_EQ(parse_scheme(std::string(row.cli)), row.kind) << row.cli;
+  }
+  std::vector<std::string> sched_flags;
+  for (const SchedRow& row : sched_rows()) {
+    EXPECT_EQ(sched_name(row.kind), row.display);
+    sched_flags.emplace_back(row.cli);
+    EXPECT_EQ(parse_sched(std::string(row.cli)), row.kind) << row.cli;
+  }
+  // No flag selects the offline oracle.
+  EXPECT_EQ(scheme_flags.size(), scheme_rows().size() - 1);
+  EXPECT_THROW(parse_scheme(""), std::invalid_argument);
+
+  // The names the tcn-bench-1 goldens hold.
+  EXPECT_EQ(scheme_name(Scheme::kTcn), "TCN");
+  EXPECT_EQ(sched_name(SchedKind::kDwrr), "DWRR");
+  EXPECT_EQ(sched_name(SchedKind::kSpDwrr), "SP/DWRR");
+
+  try {
+    (void)parse_scheme("nosuch");
+    ADD_FAILURE() << "parsed an unknown scheme";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(listed_names(e.what()), scheme_flags) << e.what();
+  }
+  try {
+    (void)parse_sched("nosuch");
+    ADD_FAILURE() << "parsed an unknown scheduler";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(listed_names(e.what()), sched_flags) << e.what();
   }
 }
 

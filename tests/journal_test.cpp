@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -555,52 +556,35 @@ TEST(Journal, CompleteTailLineWithABadFieldIsCorrupt) {
   std::remove(path.c_str());
 }
 
-// A journal written before sched_drops, sim_peak_pending and
-// sim_calendar_resizes existed resumes with each at 0 and every other field
-// as written. switch_marks is as old as the format, so a line without it is
-// corrupt, mid-file or as the last line.
-TEST(Journal, OldJournalWithoutNewerCountersResumes) {
-  const std::string path = temp_path("journal_old_format.jsonl");
+// Every run counter is required: a complete line without one is corrupt,
+// mid-file or as the last line, and the error names the journal and the
+// line. No journal old enough to lack one passes the resume digest check,
+// so none needs a default.
+TEST(Journal, LineWithoutACounterIsCorrupt) {
+  const std::string path = temp_path("journal_no_counter.jsonl");
   const auto spec = small_spec();
   runner::SweepOptions opt;
   opt.journal_out = path;
   opt.journal_name = spec.name;
   ASSERT_TRUE(runner::run_sweep(spec, opt).ok());
   const std::string full = slurp(path);
-  const auto resume = [&](const std::string& text) {
-    spit(path, text);
-    auto data = runner::load_journal(path);
-    runner::SweepOptions ropt;
-    ropt.resume = &data;
-    return runner::run_sweep(spec, ropt);
-  };
-
-  auto current = resume(full);
-  std::string old_text = full;
-  for (const char* key :
-       {"sched_drops", "sim_peak_pending", "sim_calendar_resizes"}) {
-    old_text = strip_key(old_text, key);
-    EXPECT_EQ(old_text.find(key), std::string::npos) << key;
-  }
-  const auto old = resume(old_text);
-  EXPECT_EQ(old.restored, 4u);
-  ASSERT_EQ(old.runs.size(), current.runs.size());
-  for (std::size_t i = 0; i < old.runs.size(); ++i) {
-    auto& now = current.runs[i].report;
-    EXPECT_GT(now.sim_peak_pending, 0u);  // so the 0 below is a default
-    EXPECT_EQ(old.runs[i].report.sched_drops, 0u);
-    EXPECT_EQ(old.runs[i].report.sim_peak_pending, 0u);
-    EXPECT_EQ(old.runs[i].report.sim_calendar_resizes, 0u);
-    now.sched_drops = now.sim_peak_pending = now.sim_calendar_resizes = 0;
-    EXPECT_EQ(old.runs[i].wall_ms, current.runs[i].wall_ms);
-    EXPECT_EQ(old.runs[i].events_per_sec, current.runs[i].events_per_sec);
-  }
-  EXPECT_EQ(runner::to_json(old, "unit", /*include_timing=*/false),
-            runner::to_json(current, "unit", /*include_timing=*/false));
-
-  for (const std::size_t from : {std::size_t{0}, last_line_start(full)}) {
-    spit(path, strip_key(full, "switch_marks", from));
-    EXPECT_THROW(runner::load_journal(path), std::invalid_argument) << from;
+  const std::pair<std::size_t, std::string> lines[] = {
+      {0, "line 2:"}, {last_line_start(full), "line 5:"}};
+  for (const std::string key : {"switch_marks", "sched_drops",
+                                "sim_peak_pending", "sim_calendar_resizes"}) {
+    for (const auto& [from, line] : lines) {
+      spit(path, strip_key(full, key, from));
+      try {
+        (void)runner::load_journal(path);
+        ADD_FAILURE() << key << " stripped from byte " << from << " loaded";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("journal '" + path + "' " + line),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      }
+    }
   }
   std::remove(path.c_str());
 }

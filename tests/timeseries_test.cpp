@@ -4,6 +4,7 @@
 // journal byte-identically for any --jobs, and old journals (no
 // "stability" key) still parse.
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -414,6 +415,7 @@ TEST(TimeSeriesExperiment, SeriesOutWritesTcnSeries1) {
     ++channel_lines;
   }
   EXPECT_EQ(channel_lines, report.series_channels);
+  std::remove(cfg.series_out.c_str());
 }
 
 std::vector<runner::Job> sampled_jobs() {
@@ -475,6 +477,7 @@ TEST(TimeSeriesSweep, JournalRoundTripsStability) {
                      orig.report.stability.sojourn_cv);
     EXPECT_EQ(rec.report.stability.regime, orig.report.stability.regime);
   }
+  std::remove(path.c_str());
 }
 
 TEST(TimeSeriesSweep, UnsampledJournalsStillParse) {
@@ -495,6 +498,7 @@ TEST(TimeSeriesSweep, UnsampledJournalsStillParse) {
   for (const auto& [index, rec] : data.entries) {
     EXPECT_FALSE(rec.report.stability_analyzed);
   }
+  std::remove(path.c_str());
 }
 
 }  // namespace

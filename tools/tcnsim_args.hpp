@@ -74,16 +74,12 @@ inline runner::FlagTable tcnsim_flags(TcnsimArgs& a) {
   t.push_back({"--hosts", "N", "star host count (default 9)",
                runner::number_setter(cfg.star.num_hosts)});
   t.push_back(heading("scheme / scheduler:"));
-  t.push_back({"--scheme",
-               "tcn|tcn-prob|codel|mq-ecn|red|red-port|red-dequeue|pie|"
-               "ideal-rate|none",
+  t.push_back({"--scheme", core::scheme_cli_names("|"),
                "marking scheme (default tcn)",
                [&cfg](const std::string&, const std::string& v) {
                  cfg.scheme = core::parse_scheme(v);
                }});
-  t.push_back({"--sched",
-               "fifo|sp|dwrr|wrr|wfq|sp-dwrr|sp-wfq|pifo|sp-pifo[:levels]|"
-               "aifo[:window,k]",
+  t.push_back({"--sched", core::sched_cli_names("|", /*with_params=*/true),
                "packet scheduler (default dwrr)\n"
                "(sp-pifo: strict-priority levels, default 8;\n"
                " aifo: rank window and headroom k, default 128,0.1)",
